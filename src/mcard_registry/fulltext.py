@@ -7,12 +7,13 @@ shorter than 2 characters. No stemming, no stopwords, so rankings are
 reproducible bit-for-bit across runs.
 
 A "document" is one node: all of its indexed fields are tokenized and pooled,
-per-field term frequencies are kept in the postings, and scoring uses the
-summed frequency per term over the node.
+and the postings keep each term's frequency summed over the node's fields,
+which is the frequency scoring uses.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from collections import Counter
@@ -30,10 +31,10 @@ def tokenize(text: str) -> list[str]:
 
 
 class FullTextIndex:
-    """Inverted index: token -> {node ordinal -> {field -> term frequency}}."""
+    """Inverted index: token -> {node ordinal -> term frequency}."""
 
     def __init__(self):
-        self._postings: dict[str, dict[int, dict[str, int]]] = {}
+        self._postings: dict[str, dict[int, int]] = {}
         self._doc_len: dict[int, int] = {}
         self._total_len = 0
 
@@ -45,17 +46,14 @@ class FullTextIndex:
         """Index one node. ``fields`` maps field name to its flattened text."""
         if ordinal in self._doc_len:
             raise ValueError(f"node ordinal {ordinal} already indexed")
-        length = 0
-        for field, text in fields.items():
-            tokens = tokenize(text)
-            for token, tf in Counter(tokens).items():
-                self._postings.setdefault(token, {}).setdefault(ordinal, {})[field] = tf
-            length += len(tokens)
+        counts: Counter[str] = Counter()
+        for text in fields.values():
+            counts.update(tokenize(text))
+        for token, tf in counts.items():
+            self._postings.setdefault(token, {})[ordinal] = tf
+        length = counts.total()
         self._doc_len[ordinal] = length
         self._total_len += length
-
-    def postings(self, token: str) -> dict[int, dict[str, int]]:
-        return self._postings.get(token, {})
 
     def query(self, text: str, limit: int) -> list[tuple[int, float]]:
         """Rank indexed nodes containing at least one query term.
@@ -76,10 +74,9 @@ class FullTextIndex:
             if not by_node:
                 continue
             idf = math.log(1.0 + (n_docs - len(by_node) + 0.5) / (len(by_node) + 0.5))
-            for ordinal, by_field in by_node.items():
-                tf = sum(by_field.values())
+            for ordinal, tf in by_node.items():
                 dl = self._doc_len[ordinal]
                 norm = K1 * (1.0 - B + B * dl / avgdl) if avgdl > 0 else K1
                 scores[ordinal] = scores.get(ordinal, 0.0) + idf * tf * (K1 + 1.0) / (tf + norm)
-        ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-        return ranked[: max(limit, 0)]
+        return heapq.nsmallest(max(limit, 0), scores.items(),
+                               key=lambda item: (-item[1], item[0]))

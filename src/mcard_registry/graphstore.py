@@ -4,7 +4,9 @@ Storage is in-memory maps (id -> node, id -> edge, label -> ids, adjacency
 lists) guarded by a single-writer / multi-reader lock. Persistence is a
 whole-store snapshot in line-delimited JSON; there is no write-ahead log.
 Element ordinals are allocated once per store lifetime and never reused,
-including after a rollback.
+including after a rollback. Each label's identifying property (``KEY_FIELDS``)
+has an equality index, so looking a card, device or experiment up by its id
+costs the same at any store size.
 
 Records handed to callers are immutable copies: mutating them cannot affect
 the store, and they are safe to pass between threads.
@@ -36,6 +38,14 @@ SNAPSHOT_VERSION = 1
 # Fields indexed for ranked search, per indexed label.
 DEFAULT_INDEXED_FIELDS: dict[str, tuple[str, ...]] = {
     "ModelCard": ("name", "short_description", "full_description", "keywords", "author"),
+}
+
+# Identifying property per label; find_nodes answers a filter on exactly this
+# key from an equality index instead of scanning the label.
+KEY_FIELDS: dict[str, str] = {
+    "ModelCard": "external_id",
+    "Device": "device_id",
+    "Experiment": "experiment_id",
 }
 
 _SCALAR_TYPES = (str, int, float, bool)
@@ -264,6 +274,8 @@ class GraphStore:
             for label, fields in (indexed_fields or DEFAULT_INDEXED_FIELDS).items()
         }
         self._index = FullTextIndex()
+        # label -> key value -> node ordinals, for the labels in KEY_FIELDS
+        self._by_key: dict[str, dict[Any, list[int]]] = {label: {} for label in KEY_FIELDS}
 
     # --- transactions ---
 
@@ -304,14 +316,23 @@ class GraphStore:
                     f"{edge.rel_type} edge {edge.src} -> {edge.dst} already exists"
                 )
         for rec in tx.pending_nodes:
-            self._nodes[rec.id.ordinal] = rec
-            for label in rec.labels:
-                self._labels.setdefault(label, []).append(rec.id.ordinal)
-            self._maybe_index(rec)
+            self._add_node(rec)
         for edge, _ in tx.pending_edges:
             self._edges[edge.id.ordinal] = edge
             self._out.setdefault(edge.src.ordinal, []).append(edge.id.ordinal)
             self._in.setdefault(edge.dst.ordinal, []).append(edge.id.ordinal)
+
+    def _add_node(self, rec: NodeRecord) -> None:
+        ordinal = rec.id.ordinal
+        self._nodes[ordinal] = rec
+        for label in rec.labels:
+            self._labels.setdefault(label, []).append(ordinal)
+            key = KEY_FIELDS.get(label)
+            value = rec.properties.get(key) if key else None
+            # list values are unhashable; a filter on one falls back to the scan
+            if value is not None and not isinstance(value, list):
+                self._by_key[label].setdefault(value, []).append(ordinal)
+        self._maybe_index(rec)
 
     def _maybe_index(self, rec: NodeRecord) -> None:
         fields: dict[str, str] = {}
@@ -378,12 +399,28 @@ class GraphStore:
             raise EmptyLabelsError("label must be non-empty")
         filters = dict(property_equals or {})
         with self.read_session():
-            hits = []
-            for ordinal in sorted(self._labels.get(label, ())):
-                rec = self._nodes[ordinal]
-                if all(rec.properties.get(k) == v for k, v in filters.items()):
-                    hits.append(self._copy_node(rec))
-            return hits
+            ordinals = self._key_lookup(label, filters)
+            if ordinals is None:
+                ordinals = [
+                    ordinal for ordinal in sorted(self._labels.get(label, ()))
+                    if all(self._nodes[ordinal].properties.get(k) == v
+                           for k, v in filters.items())
+                ]
+            return [self._copy_node(self._nodes[ordinal]) for ordinal in ordinals]
+
+    def _key_lookup(self, label: str, filters: dict[str, Any]) -> list[int] | None:
+        """Sorted ordinals from the equality index, or None when the filter is
+        not exactly the label's key with a hashable value."""
+        key = KEY_FIELDS.get(label)
+        if key is None or len(filters) != 1 or key not in filters:
+            return None
+        value = filters[key]
+        if value is None:  # the scan matches every node that lacks the key
+            return None
+        try:
+            return sorted(self._by_key[label].get(value, ()))
+        except TypeError:  # unhashable value
+            return None
 
     def edge_exists(self, src: ElementId, dst: ElementId, rel_type: str) -> bool:
         with self.read_session():
@@ -549,10 +586,7 @@ class GraphStore:
             rec = NodeRecord(eid, frozenset(obj["labels"]), props)
             if not rec.labels:
                 raise ValueError("node with empty label set")
-            self._nodes[eid.ordinal] = rec
-            for label in rec.labels:
-                self._labels.setdefault(label, []).append(eid.ordinal)
-            self._maybe_index(rec)
+            self._add_node(rec)
         else:
             if eid.ordinal in self._edges or eid.ordinal >= self._next_edge_ordinal:
                 raise ValueError(f"edge ordinal {eid.ordinal} out of range or duplicated")

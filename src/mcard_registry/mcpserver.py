@@ -28,7 +28,7 @@ from urllib.parse import parse_qs, quote, urlsplit
 from . import wire
 from .errors import ApiError, NotFoundError
 from .registry import Registry
-from .rest import QuietThreadingHTTPServer
+from .rest import MAX_BODY_BYTES, QuietThreadingHTTPServer, read_request_body
 
 PROTOCOL_VERSION = "2024-11-05"
 SERVER_INFO = {"name": "mcard-mcp", "version": "0.1.0"}
@@ -434,8 +434,9 @@ def _make_handler(server: McpServer):
 
         def do_POST(self):
             # drain the body first so keep-alive framing survives error replies
-            length = int(self.headers.get("Content-Length", "0"))
-            raw = self.rfile.read(length)
+            raw = read_request_body(self, MAX_BODY_BYTES)
+            if raw is None:
+                return
             split = urlsplit(self.path)
             if split.path != "/messages":
                 self._reply_json(404, {"error": "NOT_FOUND", "detail": "no such endpoint"})

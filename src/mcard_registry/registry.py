@@ -30,7 +30,7 @@ from .errors import (
     SchemaViolationError,
     WorkFailedError,
 )
-from .graphstore import ElementId, GraphStore, WriteTransaction
+from .graphstore import ElementId, GraphStore, NodeRecord, WriteTransaction
 
 SEARCH_LIMIT_CAP = 100
 RETRIEVAL_QUERY_NAMES = ("model_card", "model", "bias_analysis", "xai_analysis", "deployments")
@@ -304,14 +304,18 @@ class Registry:
 
     # --- dynamic-card events ---
 
-    def record_deployment(self, mc_id: str, dep: DeploymentRecord) -> ElementId:
+    def _card_model(self, mc_id: str) -> NodeRecord:
+        """The Model node of card ``mc_id``; NotFoundError if either is missing."""
         card = self.store.find_nodes("ModelCard", {"external_id": mc_id})
         if not card:
             raise NotFoundError(f"no model card {mc_id!r}")
         pairs = self.store.neighbors(card[0].id, "out", "HAS_MODEL")
         if not pairs:
             raise NotFoundError(f"card {mc_id!r} has no model node")
-        model_node = pairs[0][1].id
+        return pairs[0][1]
+
+    def record_deployment(self, mc_id: str, dep: DeploymentRecord) -> ElementId:
+        model_node = self._card_model(mc_id).id
         try:
             return self.store.atomic_write(
                 lambda tx: self._append_deployment(tx, model_node, dep, {})
@@ -351,13 +355,7 @@ class Registry:
     # --- signposting ---
 
     def get_linkset(self, mc_id: str, base_url: str) -> cards.LinkSet:
-        card = self.store.find_nodes("ModelCard", {"external_id": mc_id})
-        if not card:
-            raise NotFoundError(f"no model card {mc_id!r}")
-        pairs = self.store.neighbors(card[0].id, "out", "HAS_MODEL")
-        if not pairs:
-            raise NotFoundError(f"card {mc_id!r} has no model node")
-        model = pairs[0][1].properties
+        model = self._card_model(mc_id).properties
         return cards.build_linkset_from_fields(
             mc_id,
             model["artifact_location"],
@@ -378,13 +376,10 @@ class Registry:
         best: tuple[float, str] | None = None
         best_hit: SearchHit | None = None
         for hit in matches:
-            card = self.store.find_nodes("ModelCard", {"external_id": hit.mc_id})
-            if not card:
+            try:
+                model = self._card_model(hit.mc_id)
+            except NotFoundError:
                 continue
-            model_pairs = self.store.neighbors(card[0].id, "out", "HAS_MODEL")
-            if not model_pairs:
-                continue
-            model = model_pairs[0][1]
             deployments = [
                 rec for _, rec in self.store.neighbors(model.id, "out", "HAS_DEPLOYMENT")
             ]

@@ -31,6 +31,7 @@ from .registry import Registry
 
 CHUNK_THRESHOLD = 1024 * 1024
 CHUNK_SIZE = 64 * 1024
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 class QuietThreadingHTTPServer(ThreadingHTTPServer):
@@ -69,7 +70,7 @@ class RestConfig:
     port: int = 0
     base_url: str | None = None  # derived from the bound address when unset
     bearer_token: str | None = None
-    max_body_bytes: int = 64 * 1024 * 1024
+    max_body_bytes: int = MAX_BODY_BYTES
     log_body_hash: bool = False
 
     def __post_init__(self):
@@ -84,6 +85,31 @@ class AccessLogEntry:
     status: int
     body_len: int
     body_sha256: str | None = None
+
+
+def read_request_body(handler: BaseHTTPRequestHandler, limit: int) -> bytes | None:
+    """Read a request body framed by Content-Length (RFC 9112 section 6.3).
+
+    A missing, non-numeric, negative or conflicting (repeated with different
+    values) length gets a 400 reply, and a length over ``limit`` a 413, both
+    through ``handler._reply_json``; None means such a reply went out. The connection is then closed, because the unread body
+    would otherwise be parsed as the next request.
+    """
+    values = {v.strip() for v in handler.headers.get_all("Content-Length", ())}
+    raw = values.pop() if len(values) == 1 else ""
+    if not (raw.isascii() and raw.isdigit()):
+        handler.close_connection = True
+        handler._reply_json(400, {"error": "BAD_CONTENT_LENGTH",
+                                  "detail": "request body needs one non-negative "
+                                            "decimal Content-Length"})
+        return None
+    length = int(raw)
+    if length > limit:
+        handler.close_connection = True
+        handler._reply_json(413, {"error": "BODY_TOO_LARGE",
+                                  "detail": f"limit is {limit} bytes"})
+        return None
+    return handler.rfile.read(length)
 
 
 class RestServer:
@@ -139,6 +165,11 @@ def _make_handler(server: RestServer):
         def _reply(self, status: int, body: bytes, content_type: str,
                    extra_headers: list[tuple[str, str]] | None = None,
                    head_only: bool = False) -> None:
+            # logged before any byte goes out: a client that has the body
+            # must find its entry in the access log
+            digest = hashlib.sha256(body).hexdigest() if config.log_body_hash else None
+            server.record(AccessLogEntry(self.command, self.path, status,
+                                         0 if head_only else len(body), digest))
             self.send_response(status)
             self.send_header("Content-Type", content_type)
             for name, value in extra_headers or ():
@@ -159,9 +190,6 @@ def _make_handler(server: RestServer):
                 self.end_headers()
                 if body:
                     self.wfile.write(body)
-            digest = hashlib.sha256(body).hexdigest() if config.log_body_hash else None
-            server.record(AccessLogEntry(self.command, self.path, status,
-                                         0 if head_only else len(body), digest))
 
         def _reply_json(self, status: int, obj, extra_headers=None, head_only=False):
             self._reply(status, wire.dump_bytes(obj), "application/json",
@@ -174,23 +202,8 @@ def _make_handler(server: RestServer):
         def _stash_body(self) -> bool:
             """Read the request body before any reply so keep-alive framing
             survives early error responses. False means a reply went out."""
-            self._body = None
-            length = self.headers.get("Content-Length")
-            if length is None:
-                self._reply_json(400, {"error": "MALFORMED_JSON",
-                                       "detail": "request body with Content-Length required"})
-                return False
-            length = int(length)
-            if length > config.max_body_bytes:
-                self.close_connection = True
-                self._reply_json(413, {"error": "BODY_TOO_LARGE",
-                                       "detail": f"limit is {config.max_body_bytes} bytes"})
-                return False
-            self._body = self.rfile.read(length)
-            return True
-
-        def _read_body(self) -> bytes | None:
-            return self._body
+            self._body = read_request_body(self, config.max_body_bytes)
+            return self._body is not None
 
         def _authorized(self, path: str) -> bool:
             if config.bearer_token is None or path == "/health":
@@ -296,19 +309,13 @@ def _make_handler(server: RestServer):
             self._reply_json(200, wire.search_hits_to_jsonable(hits))
 
         def _ingest(self):
-            body = self._read_body()
-            if body is None:
-                return
-            doc = parse_model_card(body)
+            doc = parse_model_card(self._body)
             mc_id = registry.ingest_model_card(doc)
             self._reply_json(201, {"mc_id": mc_id},
                              [("Location", f"{server.base_url}/modelcard/{mc_id}")])
 
         def _create_edge(self):
-            body = self._read_body()
-            if body is None:
-                return
-            payload = _json_object(body)
+            payload = _json_object(self._body)
             for key in ("source_id", "target_id"):
                 if not isinstance(payload.get(key), str):
                     raise SchemaViolationError(key, "required string field")
@@ -316,19 +323,13 @@ def _make_handler(server: RestServer):
             self._reply_json(201, wire.edge_created_to_jsonable(created))
 
         def _deployment(self, mc_id: str):
-            body = self._read_body()
-            if body is None:
-                return
-            payload = _json_object(body)
+            payload = _json_object(self._body)
             dep = parse_deployment(payload, where="deployment.")
             element = registry.record_deployment(mc_id, dep)
             self._reply_json(201, {"element_id": str(element)})
 
         def _experiment(self):
-            body = self._read_body()
-            if body is None:
-                return
-            payload = _json_object(body)
+            payload = _json_object(self._body)
             if not isinstance(payload.get("experiment_id"), str):
                 raise SchemaViolationError("experiment_id", "required string field")
             deployment_ids = payload.get("deployment_element_ids", [])

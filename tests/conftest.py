@@ -1,5 +1,6 @@
 import json
 import random
+import socket
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -115,6 +116,33 @@ def random_card_dict(rng: random.Random, idx: int) -> dict:
 
 def ingest_dict(registry: Registry, card: dict) -> str:
     return registry.ingest_model_card(parse_model_card(json.dumps(card)))
+
+
+# Content-Length values no server may trust (RFC 9112 section 6.3): the
+# expected status, then the header lines sent (None sends no Content-Length)
+HOSTILE_CONTENT_LENGTHS = [
+    pytest.param(400, None, id="missing"),
+    pytest.param(400, ["abc"], id="non-numeric"),
+    pytest.param(400, ["-1"], id="negative"),
+    pytest.param(400, ["5", "7"], id="conflicting"),
+    pytest.param(413, [str(64 * 1024 * 1024 + 1)], id="over-64MiB"),
+    pytest.param(413, ["99999999999"], id="huge"),
+]
+
+
+def raw_post(port: int, path: str, content_lengths: list[str] | None) -> tuple[int, dict]:
+    """POST over a raw socket with the given Content-Length lines and a
+    small body; returns (status, JSON body). Reads until the server closes
+    the connection, so a server that keeps it open fails on the timeout."""
+    head = f"POST {path} HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+    head += "".join(f"Content-Length: {value}\r\n" for value in content_lengths or ())
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(head.encode("ascii") + b"\r\n" + b"{}")
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    headers, _, body = reply.partition(b"\r\n\r\n")
+    return int(headers.split(b" ", 2)[1]), json.loads(body)
 
 
 @pytest.fixture

@@ -6,12 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from mcard_registry.errors import (
     CorruptSnapshotError,
+    DuplicateCardError,
+    DuplicateExperimentError,
     EmptyLabelsError,
     FileIoError,
     WorkFailedError,
 )
 from mcard_registry.fulltext import tokenize
-from mcard_registry.graphstore import ElementId, GraphStore, node_id
+from mcard_registry.graphstore import KEY_FIELDS, ElementId, GraphStore, node_id
+from mcard_registry.registry import Registry
+
+from conftest import card_dict, deployment_dict, ingest_dict
 
 
 def test_create_node_first_allocation():
@@ -366,3 +371,86 @@ def test_blank_label_rejected():
     store = GraphStore()
     with pytest.raises(WorkFailedError):
         store.create_node({"A", ""}, {})
+
+
+# --- identifying-property index ---
+
+KEYED_LABELS = sorted(KEY_FIELDS.items())
+
+
+def _scanned(store, label, filters):
+    """Brute-force reference: filter the label's full enumeration."""
+    return [rec for rec in store.find_nodes(label)
+            if all(rec.properties.get(k) == v for k, v in filters.items())]
+
+
+def _keyed_store():
+    store = GraphStore()
+    for label, key in KEYED_LABELS:
+        for i in range(3):
+            store.create_node({label}, {key: f"{label}-{i}", "i": i})
+        # the store does not enforce uniqueness: a repeated value finds both
+        store.create_node({label, "Extra"}, {key: f"{label}-1", "i": 9})
+        store.create_node({label}, {key: [f"{label}-list"]})
+    return store
+
+
+def _assert_index_matches_scan(store, label, key):
+    queries = [{key: f"{label}-1"}, {key: f"{label}-404"}, {key: [f"{label}-list"]},
+               {key: f"{label}-1", "i": 9}, {key: f"{label}-1", "i": 404}]
+    for filters in queries:
+        assert store.find_nodes(label, filters) == _scanned(store, label, filters), filters
+
+
+@pytest.mark.parametrize("label,key", KEYED_LABELS)
+def test_key_index_matches_label_scan(label, key):
+    store = _keyed_store()
+    _assert_index_matches_scan(store, label, key)
+    hits = store.find_nodes(label, {key: f"{label}-1"})
+    assert [rec.properties["i"] for rec in hits] == [1, 9]  # ascending ordinals
+    assert store.find_nodes(label, {key: f"{label}-404"}) == []
+    assert [rec.properties["i"] for rec in store.find_nodes(label, {key: f"{label}-1", "i": 9})] \
+        == [9]
+    assert len(store.find_nodes(label, {key: [f"{label}-list"]})) == 1  # unhashable: scanned
+
+
+@pytest.mark.parametrize("label,key", KEYED_LABELS)
+@pytest.mark.parametrize("failure", ["closure raises", "dangling edge at commit"])
+def test_key_index_drops_rolled_back_nodes(label, key, failure):
+    store = _keyed_store()
+
+    def work(tx):
+        staged = tx.create_node({label}, {key: f"{label}-1"})
+        tx.create_node({label}, {key: "staged-only"})
+        if failure == "closure raises":
+            raise RuntimeError("boom")
+        tx.create_edge(staged, node_id(404), "REL")
+
+    with pytest.raises(WorkFailedError):
+        store.atomic_write(work)
+    assert store.find_nodes(label, {key: "staged-only"}) == []
+    _assert_index_matches_scan(store, label, key)
+
+
+def test_key_index_rebuilt_by_snapshot_load(tmp_path):
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    _keyed_store().snapshot_save(str(first))
+    loaded = GraphStore.snapshot_load(str(first))
+    for label, key in KEYED_LABELS:
+        _assert_index_matches_scan(loaded, label, key)
+    loaded.snapshot_save(str(second))
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_registry_on_loaded_snapshot_rejects_duplicates():
+    registry = Registry()
+    card = card_dict(deployments=[deployment_dict(0, device="shared")])
+    ingest_dict(registry, card)
+    registry.record_experiment("exp-1")
+    loaded = Registry(GraphStore.from_snapshot_bytes(registry.store.snapshot_bytes()))
+    with pytest.raises(DuplicateCardError):
+        ingest_dict(loaded, card)
+    with pytest.raises(DuplicateExperimentError):
+        loaded.record_experiment("exp-1")
+    ingest_dict(loaded, card_dict(name="other", deployments=[deployment_dict(1, device="shared")]))
+    assert len(loaded.store.find_nodes("Device", {"device_id": "shared"})) == 1

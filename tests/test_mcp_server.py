@@ -9,7 +9,13 @@ from mcard_registry.mcpserver import McpConfig, McpServer
 from mcard_registry.registry import Registry
 from mcard_registry.rest import RestConfig, RestServer
 
-from conftest import card_dict, deployment_dict, ingest_dict
+from conftest import (
+    HOSTILE_CONTENT_LENGTHS,
+    card_dict,
+    deployment_dict,
+    ingest_dict,
+    raw_post,
+)
 
 
 @pytest.fixture
@@ -112,6 +118,20 @@ def test_close_session_then_post_is_404(native):
     assert resp.status == 204
     resp.read()
     conn.close()
+
+
+@pytest.mark.parametrize("status,content_lengths", HOSTILE_CONTENT_LENGTHS)
+def test_hostile_content_length_rejected_and_closed(native, status, content_lengths):
+    server, _ = native
+    client = _open(server)
+    try:
+        got, body = raw_post(server.port, f"/messages?session_id={client.session_id}",
+                             content_lengths)
+        assert (got, body["error"]) == \
+            (status, "BAD_CONTENT_LENGTH" if status == 400 else "BODY_TOO_LARGE")
+        assert client.request("tools/list")["result"]["tools"]
+    finally:
+        client.close()
 
 
 def test_heartbeat_comment_on_idle_stream(native):

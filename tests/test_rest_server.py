@@ -7,7 +7,13 @@ import requests.utils
 from mcard_registry.registry import Registry
 from mcard_registry.rest import RestConfig, RestServer
 
-from conftest import card_dict, deployment_dict, ingest_dict
+from conftest import (
+    HOSTILE_CONTENT_LENGTHS,
+    card_dict,
+    deployment_dict,
+    ingest_dict,
+    raw_post,
+)
 
 
 @pytest.fixture
@@ -306,6 +312,15 @@ def test_large_card_streams_chunked(server, url):
     assert "Content-Length" not in resp.headers
     body = json.loads(resp.content)
     assert len(body["model_card"]["full_description"]) >= 1_800_000
+
+
+@pytest.mark.parametrize("status,content_lengths", HOSTILE_CONTENT_LENGTHS)
+def test_hostile_content_length_rejected_and_closed(server, url, status, content_lengths):
+    got, body = raw_post(server.port, "/edge", content_lengths)
+    assert (got, body["error"]) == \
+        (status, "BAD_CONTENT_LENGTH" if status == 400 else "BODY_TOO_LARGE")
+    assert server.access_log[-1].status == status
+    assert requests.get(f"{url}/health").status_code == 200
 
 
 # --- auth ---
