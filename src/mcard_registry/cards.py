@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime
 from urllib.parse import urlparse
 
@@ -79,126 +79,38 @@ def compose_mc_id(author: str, model_name: str, version: str) -> ModelCardId:
     return ModelCardId(parts["author"], parts["model_name"], parts["version"])
 
 
-@dataclass
-class AIModelInfo:
-    name: str
-    version: str
-    owner: str
-    artifact_location: str
-    license: str
-    framework: str
-    model_type: str
-    test_accuracy: float
-    lifecycle_stage: str
-    container_image_location: str | None = None
+# --- the card schema ---
+#
+# Each record below is the schema's single field table. Fields are declared
+# in wire order (the order the store's projections and the external document
+# emit them), and each schema field carries in its metadata the check that
+# validates and converts the JSON value found at its path. A field with
+# ``kw_only=True, default=None`` may be absent or null, which leaves it None,
+# without moving it from its wire position.
 
-
-@dataclass
-class BiasAnalysis:
-    demographic_parity: float
-    equal_odds: float
-    notes: str = ""
-
-
-@dataclass
-class XAIAnalysis:
-    method: str
-    top_features: list[tuple[str, float]] = field(default_factory=list)
-    notes: str = ""
-
-
-@dataclass
-class DeploymentRecord:
-    deployment_id: str
-    device_id: str
-    start_time: datetime
-    location: str
-    mean_latency_ms: float
-    mean_accuracy: float
-    requests_served: int
-    cpu_utilization: float
-    gpu_utilization: float
-    energy_joules: float
-    end_time: datetime | None = None
-    notes: str | None = None
-
-
-@dataclass
-class DeviceInfo:
-    device_id: str
-    name: str = ""
-    owner: str = ""
-    location: str = ""
-
-
-@dataclass
-class ExperimentInfo:
-    experiment_id: str
-    deployment_ids: list[str] = field(default_factory=list)
-
-
-@dataclass
-class ModelCardDocument:
-    external_id: str
-    name: str
-    version: str
-    author: str
-    short_description: str
-    full_description: str
-    keywords: list[str]
-    input_type: str
-    output_type: str
-    ai_model: AIModelInfo
-    bias_analysis: BiasAnalysis | None = None
-    xai_analysis: XAIAnalysis | None = None
-    deployments: list[DeploymentRecord] = field(default_factory=list)
-    documentation_format_version: str = DOC_FORMAT_VERSION
-    extras: dict = field(default_factory=dict)  # unknown top-level keys, kept for round-trip
-
-
-# --- parsing helpers ---
-
-_KNOWN_TOP_KEYS = (
-    "external_id", "name", "version", "author", "short_description",
-    "full_description", "keywords", "input_type", "output_type", "ai_model",
-    "bias_analysis", "xai_analysis", "deployments", "documentation_format_version",
-)
-
-
-def _need(obj: dict, key: str, kind, where: str):
-    if key not in obj:
-        raise SchemaViolationError(f"{where}{key}", "missing required field")
-    value = obj[key]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaViolationError(f"{where}{key}", "expected a number")
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SchemaViolationError(f"{where}{key}", "expected an integer")
-        return value
-    if not isinstance(value, kind):
-        raise SchemaViolationError(f"{where}{key}", f"expected {kind.__name__}")
+def _text(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaViolationError(path, "expected str")
     return value
 
 
-def _need_str(obj: dict, key: str, where: str = "") -> str:
-    value = _need(obj, key, str, where)
-    if not value.strip():
-        raise SchemaViolationError(f"{where}{key}", "must be non-empty")
+def _name(value, path: str) -> str:
+    if not _text(value, path).strip():
+        raise SchemaViolationError(path, "must be non-empty")
     return value
 
 
-def _finite(value: float, field_name: str) -> float:
-    if not math.isfinite(value):
-        raise SchemaViolationError(field_name, "must be finite")
-    return value
+def _stringify(value, path: str) -> str:
+    return str(value)
 
 
-def _non_negative(value: float, field_name: str) -> float:
-    _finite(value, field_name)
-    if value < 0:
-        raise SchemaViolationError(field_name, "must be non-negative")
+def _lenient_note(value, path: str) -> str:
+    return value if isinstance(value, str) else ""
+
+
+def _note(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaViolationError(path, "must be a string")
     return value
 
 
@@ -207,105 +119,232 @@ def is_absolute_url(text: str) -> bool:
     return bool(parsed.scheme) and bool(parsed.netloc)
 
 
-def _need_url(obj: dict, key: str, where: str) -> str:
-    value = _need_str(obj, key, where)
-    if not is_absolute_url(value):
-        raise SchemaViolationError(f"{where}{key}", "must be an absolute URL")
+def _url(value, path: str) -> str:
+    if not isinstance(value, str) or not is_absolute_url(value):
+        raise SchemaViolationError(path, "must be an absolute URL")
     return value
 
 
-def _parse_ts(obj: dict, key: str, where: str) -> datetime:
-    raw = _need_str(obj, key, where)
+def _artifact_url(value, path: str) -> str:
+    return _url(_name(value, path), path)
+
+
+def _finite(value: int | float, path: str) -> float:
     try:
-        return parse_timestamp(raw)
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaViolationError(path, "must be finite")
+    return number
+
+
+def _number(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaViolationError(path, "expected a number")
+    return _finite(value, path)
+
+
+def _non_negative(value, path: str) -> float:
+    number = _number(value, path)
+    if number < 0:
+        raise SchemaViolationError(path, "must be non-negative")
+    return number
+
+
+def _accuracy(value, path: str) -> float:
+    number = _number(value, path)
+    if not 0.0 <= number <= 1.0:
+        raise SchemaViolationError(path, "out of range [0, 1]")
+    return number
+
+
+def _count(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaViolationError(path, "expected an integer")
+    if _finite(value, path) < 0:
+        raise SchemaViolationError(path, "must be non-negative")
+    return value
+
+
+def _stage(value, path: str) -> str:
+    if _name(value, path) not in LIFECYCLE_STAGES:
+        raise SchemaViolationError(path, f"unknown stage {value!r}")
+    return value
+
+
+def _timestamp(value, path: str) -> datetime:
+    try:
+        return parse_timestamp(_name(value, path))
     except ValueError:
-        raise SchemaViolationError(f"{where}{key}", "not an ISO-8601 UTC timestamp") from None
+        raise SchemaViolationError(path, "not an ISO-8601 UTC timestamp") from None
 
 
-def parse_ai_model(obj) -> AIModelInfo:
-    if not isinstance(obj, dict):
-        raise SchemaViolationError("ai_model", "must be an object")
-    where = "ai_model."
-    accuracy = _finite(_need(obj, "test_accuracy", float, where), where + "test_accuracy")
-    if not 0.0 <= accuracy <= 1.0:
-        raise SchemaViolationError(where + "test_accuracy", "out of range [0, 1]")
-    stage = _need_str(obj, "lifecycle_stage", where)
-    if stage not in LIFECYCLE_STAGES:
-        raise SchemaViolationError(where + "lifecycle_stage", f"unknown stage {stage!r}")
-    image = obj.get("container_image_location")
-    if image is not None:
-        if not isinstance(image, str) or not is_absolute_url(image):
-            raise SchemaViolationError(where + "container_image_location", "must be an absolute URL")
-    return AIModelInfo(
-        name=_need_str(obj, "name", where),
-        version=_need_str(obj, "version", where),
-        owner=_need_str(obj, "owner", where),
-        artifact_location=_need_url(obj, "artifact_location", where),
-        license=_need_str(obj, "license", where),
-        framework=_need_str(obj, "framework", where),
-        model_type=_need_str(obj, "model_type", where),
-        test_accuracy=accuracy,
-        lifecycle_stage=stage,
-        container_image_location=image,
+def _keywords(value, path: str) -> list[str]:
+    if not isinstance(value, list):
+        raise SchemaViolationError(path, "expected list")
+    if not all(isinstance(k, str) for k in value):
+        raise SchemaViolationError(path, "must be a list of strings")
+    return list(value)
+
+
+def _features(value, path: str) -> list["Feature"]:
+    if not isinstance(value, list):
+        raise SchemaViolationError(path, "must be a list")
+    out = []
+    for i, entry in enumerate(value):
+        if not isinstance(entry, dict) or "name" not in entry or "importance" not in entry:
+            raise SchemaViolationError(f"{path}[{i}]", "expected {name, importance}")
+        out.append(_record(Feature, entry, f"{path}[{i}]."))
+    return out
+
+
+def _deployments(value, path: str) -> list["DeploymentRecord"]:
+    if not isinstance(value, list):
+        raise SchemaViolationError(path, "must be a list")
+    return [parse_deployment(entry, f"{path}[{i}].") for i, entry in enumerate(value)]
+
+
+def _field(check, **kwargs):
+    return field(metadata={"check": check}, **kwargs)
+
+
+def _nested(check, **kwargs):
+    """A field holding sub-records: stored as nodes of their own, never as a
+    property of this record's node."""
+    return field(metadata={"check": check, "nested": True}, **kwargs)
+
+
+def _one(cls):
+    return lambda value, path: _record(cls, value, path + ".")
+
+
+@dataclass
+class Feature:
+    """One ``xai_analysis.top_features`` entry."""
+
+    name: str = _field(_stringify)
+    importance: float = _field(_number)
+
+
+@dataclass
+class AIModelInfo:
+    name: str = _field(_name)
+    version: str = _field(_name)
+    owner: str = _field(_name)
+    artifact_location: str = _field(_artifact_url)
+    container_image_location: str | None = _field(_url, default=None, kw_only=True)
+    license: str = _field(_name)
+    framework: str = _field(_name)
+    model_type: str = _field(_name)
+    test_accuracy: float = _field(_accuracy)
+    lifecycle_stage: str = _field(_stage)
+
+
+@dataclass
+class BiasAnalysis:
+    demographic_parity: float = _field(_number)
+    equal_odds: float = _field(_number)
+    notes: str = _field(_lenient_note, default="")
+
+
+@dataclass
+class XAIAnalysis:
+    method: str = _field(_name)
+    top_features: list[Feature] = _field(_features, default_factory=list)
+    notes: str = _field(_lenient_note, default="")
+
+
+@dataclass
+class DeploymentRecord:
+    deployment_id: str = _field(_name)
+    device_id: str = _field(_name)
+    start_time: datetime = _field(_timestamp)
+    end_time: datetime | None = _field(_timestamp, default=None, kw_only=True)
+    location: str = _field(_text)
+    mean_latency_ms: float = _field(_non_negative)
+    mean_accuracy: float = _field(_non_negative)
+    requests_served: int = _field(_count)
+    cpu_utilization: float = _field(_non_negative)
+    gpu_utilization: float = _field(_non_negative)
+    energy_joules: float = _field(_non_negative)
+    notes: str | None = _field(_note, default=None, kw_only=True)
+
+
+@dataclass
+class ModelCardDocument:
+    external_id: str = _field(_name)
+    name: str = _field(_name)
+    version: str = _field(_name)
+    author: str = _field(_name)
+    short_description: str = _field(_text)
+    full_description: str = _field(_text)
+    keywords: list[str] = _field(_keywords)
+    input_type: str = _field(_text)
+    output_type: str = _field(_text)
+    ai_model: AIModelInfo = _nested(_one(AIModelInfo))
+    bias_analysis: BiasAnalysis | None = _nested(_one(BiasAnalysis), default=None, kw_only=True)
+    xai_analysis: XAIAnalysis | None = _nested(_one(XAIAnalysis), default=None, kw_only=True)
+    deployments: list[DeploymentRecord] = _nested(_deployments, default_factory=list)
+    documentation_format_version: str = _field(_stringify, default=DOC_FORMAT_VERSION)
+    # unknown top-level keys, kept for round-trip; not part of the table
+    extras: dict = field(default_factory=dict)
+
+
+# record class -> one (name, check, required, optional) per schema field, in
+# wire order; a required field must be present, an optional one may be null
+_TABLES = {
+    cls: tuple(
+        (f.name, f.metadata["check"],
+         f.default is MISSING and f.default_factory is MISSING, f.default is None)
+        for f in fields(cls) if "check" in f.metadata
     )
+    for cls in (Feature, AIModelInfo, BiasAnalysis, XAIAnalysis, DeploymentRecord,
+                ModelCardDocument)
+}
+
+# record class -> the fields its node stores as properties, in wire order
+PROPERTY_FIELDS: dict[type, tuple[str, ...]] = {
+    cls: tuple(f.name for f in fields(cls)
+               if "check" in f.metadata and not f.metadata.get("nested"))
+    for cls in _TABLES
+}
+
+_KNOWN_TOP_KEYS = frozenset(name for name, *_ in _TABLES[ModelCardDocument])
+
+
+def _record(cls, obj, where: str):
+    """Parse one record from its field table; ``where`` prefixes error paths."""
+    if not isinstance(obj, dict):
+        raise SchemaViolationError(where.rstrip("."), "must be an object")
+    values = {}
+    for name, check, required, optional in _TABLES[cls]:
+        if name not in obj or (optional and obj[name] is None):
+            if required:
+                raise SchemaViolationError(where + name, "missing required field")
+            continue  # the dataclass default applies
+        values[name] = check(obj[name], where + name)
+    return cls(**values)
+
+
+def _loads(data: bytes | str):
+    """``json.loads`` for text from outside the program. Every way that text
+    can fail to decode raises ValueError: bad UTF-8 (UnicodeDecodeError), bad
+    syntax (JSONDecodeError), an integer literal over the interpreter's digit
+    limit, or nesting deeper than the recursion limit."""
+    if isinstance(data, bytes):
+        data = data.decode("utf-8")
+    try:
+        return json.loads(data)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def parse_deployment(obj, where: str = "deployment.") -> DeploymentRecord:
-    if not isinstance(obj, dict):
-        raise SchemaViolationError(where.rstrip("."), "must be an object")
-    start = _parse_ts(obj, "start_time", where)
-    end = None
-    if obj.get("end_time") is not None:
-        end = _parse_ts(obj, "end_time", where)
-        if end < start:
-            raise SchemaViolationError(where + "end_time", "precedes start_time")
-    notes = obj.get("notes")
-    if notes is not None and not isinstance(notes, str):
-        raise SchemaViolationError(where + "notes", "must be a string")
-    return DeploymentRecord(
-        deployment_id=_need_str(obj, "deployment_id", where),
-        device_id=_need_str(obj, "device_id", where),
-        start_time=start,
-        end_time=end,
-        location=_need(obj, "location", str, where),
-        mean_latency_ms=_non_negative(_need(obj, "mean_latency_ms", float, where), where + "mean_latency_ms"),
-        mean_accuracy=_non_negative(_need(obj, "mean_accuracy", float, where), where + "mean_accuracy"),
-        requests_served=int(_non_negative(_need(obj, "requests_served", int, where), where + "requests_served")),
-        cpu_utilization=_non_negative(_need(obj, "cpu_utilization", float, where), where + "cpu_utilization"),
-        gpu_utilization=_non_negative(_need(obj, "gpu_utilization", float, where), where + "gpu_utilization"),
-        energy_joules=_non_negative(_need(obj, "energy_joules", float, where), where + "energy_joules"),
-        notes=notes,
-    )
-
-
-def parse_bias(obj) -> BiasAnalysis:
-    if not isinstance(obj, dict):
-        raise SchemaViolationError("bias_analysis", "must be an object")
-    where = "bias_analysis."
-    return BiasAnalysis(
-        demographic_parity=_finite(_need(obj, "demographic_parity", float, where), where + "demographic_parity"),
-        equal_odds=_finite(_need(obj, "equal_odds", float, where), where + "equal_odds"),
-        notes=obj.get("notes", "") if isinstance(obj.get("notes", ""), str) else "",
-    )
-
-
-def parse_xai(obj) -> XAIAnalysis:
-    if not isinstance(obj, dict):
-        raise SchemaViolationError("xai_analysis", "must be an object")
-    where = "xai_analysis."
-    features: list[tuple[str, float]] = []
-    for i, entry in enumerate(obj.get("top_features", [])):
-        if not isinstance(entry, dict) or "name" not in entry or "importance" not in entry:
-            raise SchemaViolationError(f"{where}top_features[{i}]", "expected {name, importance}")
-        importance = entry["importance"]
-        if isinstance(importance, bool) or not isinstance(importance, (int, float)):
-            raise SchemaViolationError(f"{where}top_features[{i}].importance", "expected a number")
-        features.append((str(entry["name"]), _finite(float(importance), f"{where}top_features[{i}].importance")))
-    return XAIAnalysis(
-        method=_need_str(obj, "method", where),
-        top_features=features,
-        notes=obj.get("notes", "") if isinstance(obj.get("notes", ""), str) else "",
-    )
+    dep = _record(DeploymentRecord, obj, where)
+    if dep.end_time is not None and dep.end_time < dep.start_time:
+        raise SchemaViolationError(where + "end_time", "precedes start_time")
+    return dep
 
 
 def parse_model_card(data: bytes | str) -> ModelCardDocument:
@@ -314,136 +353,41 @@ def parse_model_card(data: bytes | str) -> ModelCardDocument:
     Unknown top-level keys survive in ``extras`` so serialize(parse(x))
     loses nothing the producer added.
     """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedJsonError(f"not UTF-8: {exc}") from exc
     try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
+        obj = _loads(data)
+    except UnicodeDecodeError as exc:
+        raise MalformedJsonError(f"not UTF-8: {exc}") from exc
+    except ValueError as exc:
         raise MalformedJsonError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise SchemaViolationError("<root>", "card document must be a JSON object")
-
-    external_id = _need_str(obj, "external_id")
-    name = _need_str(obj, "name")
-    version = _need_str(obj, "version")
-    author = _need_str(obj, "author")
-    expected = compose_mc_id(author, name, version).rendered
-    if external_id != expected:
+    doc = _record(ModelCardDocument, obj, "")
+    expected = compose_mc_id(doc.author, doc.name, doc.version).rendered
+    if doc.external_id != expected:
         raise IdMismatchError(
-            f"external_id {external_id!r} does not match composed id {expected!r}"
+            f"external_id {doc.external_id!r} does not match composed id {expected!r}"
         )
+    doc.extras = {k: v for k, v in obj.items() if k not in _KNOWN_TOP_KEYS}
+    return doc
 
-    keywords = _need(obj, "keywords", list, "")
-    if not all(isinstance(k, str) for k in keywords):
-        raise SchemaViolationError("keywords", "must be a list of strings")
 
-    if "ai_model" not in obj:
-        raise SchemaViolationError("ai_model", "missing required field")
-    ai_model = parse_ai_model(obj["ai_model"])
-
-    deployments = []
-    raw_deployments = obj.get("deployments", [])
-    if not isinstance(raw_deployments, list):
-        raise SchemaViolationError("deployments", "must be a list")
-    for i, entry in enumerate(raw_deployments):
-        deployments.append(parse_deployment(entry, where=f"deployments[{i}]."))
-
-    bias = parse_bias(obj["bias_analysis"]) if obj.get("bias_analysis") is not None else None
-    xai = parse_xai(obj["xai_analysis"]) if obj.get("xai_analysis") is not None else None
-
-    extras = {k: v for k, v in obj.items() if k not in _KNOWN_TOP_KEYS}
-    return ModelCardDocument(
-        external_id=external_id,
-        name=name,
-        version=version,
-        author=author,
-        short_description=_need(obj, "short_description", str, ""),
-        full_description=_need(obj, "full_description", str, ""),
-        keywords=list(keywords),
-        input_type=_need(obj, "input_type", str, ""),
-        output_type=_need(obj, "output_type", str, ""),
-        ai_model=ai_model,
-        bias_analysis=bias,
-        xai_analysis=xai,
-        deployments=deployments,
-        documentation_format_version=str(obj.get("documentation_format_version", DOC_FORMAT_VERSION)),
-        extras=extras,
-    )
+def _jsonable(value):
+    table = _TABLES.get(type(value))
+    if table is not None:
+        return {name: _jsonable(v) for name, *_ in table
+                if (v := getattr(value, name)) is not None}
+    if isinstance(value, list):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, datetime):
+        return render_timestamp(value)
+    return value
 
 
 def document_to_jsonable(doc: ModelCardDocument) -> dict:
-    """External JSON form, stable key order."""
-    ai = doc.ai_model
-    ai_obj: dict = {
-        "name": ai.name,
-        "version": ai.version,
-        "owner": ai.owner,
-        "artifact_location": ai.artifact_location,
-    }
-    if ai.container_image_location is not None:
-        ai_obj["container_image_location"] = ai.container_image_location
-    ai_obj.update(
-        license=ai.license,
-        framework=ai.framework,
-        model_type=ai.model_type,
-        test_accuracy=ai.test_accuracy,
-        lifecycle_stage=ai.lifecycle_stage,
-    )
-    out: dict = {
-        "external_id": doc.external_id,
-        "name": doc.name,
-        "version": doc.version,
-        "author": doc.author,
-        "short_description": doc.short_description,
-        "full_description": doc.full_description,
-        "keywords": list(doc.keywords),
-        "input_type": doc.input_type,
-        "output_type": doc.output_type,
-        "ai_model": ai_obj,
-    }
-    if doc.bias_analysis is not None:
-        out["bias_analysis"] = {
-            "demographic_parity": doc.bias_analysis.demographic_parity,
-            "equal_odds": doc.bias_analysis.equal_odds,
-            "notes": doc.bias_analysis.notes,
-        }
-    if doc.xai_analysis is not None:
-        out["xai_analysis"] = {
-            "method": doc.xai_analysis.method,
-            "top_features": [
-                {"name": n, "importance": imp} for n, imp in doc.xai_analysis.top_features
-            ],
-            "notes": doc.xai_analysis.notes,
-        }
-    out["deployments"] = [deployment_to_jsonable(d) for d in doc.deployments]
-    out["documentation_format_version"] = doc.documentation_format_version
+    """External JSON form: the fields in wire order, then unknown top-level keys."""
+    out = _jsonable(doc)
     out.update(doc.extras)
     return out
-
-
-def deployment_to_jsonable(dep: DeploymentRecord) -> dict:
-    obj: dict = {
-        "deployment_id": dep.deployment_id,
-        "device_id": dep.device_id,
-        "start_time": render_timestamp(dep.start_time),
-    }
-    if dep.end_time is not None:
-        obj["end_time"] = render_timestamp(dep.end_time)
-    obj.update(
-        location=dep.location,
-        mean_latency_ms=dep.mean_latency_ms,
-        mean_accuracy=dep.mean_accuracy,
-        requests_served=dep.requests_served,
-        cpu_utilization=dep.cpu_utilization,
-        gpu_utilization=dep.gpu_utilization,
-        energy_joules=dep.energy_joules,
-    )
-    if dep.notes is not None:
-        obj["notes"] = dep.notes
-    return obj
 
 
 def serialize_model_card(doc: ModelCardDocument) -> bytes:

@@ -69,7 +69,9 @@ class FullTextIndex:
         n_docs = len(self._doc_len)
         avgdl = self._total_len / n_docs
         scores: dict[int, float] = {}
-        for term in set(terms):
+        # first-occurrence order, not set order: the float sum must not depend
+        # on the per-process string-hash seed
+        for term in dict.fromkeys(terms):
             by_node = self._postings.get(term)
             if not by_node:
                 continue

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import tempfile
 import threading
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -260,7 +262,7 @@ class WriteTransaction:
 
 
 class GraphStore:
-    def __init__(self, indexed_fields: Mapping[str, Sequence[str]] | None = None):
+    def __init__(self):
         self._lock = _RWLock()
         self._nodes: dict[int, NodeRecord] = {}
         self._edges: dict[int, EdgeRecord] = {}
@@ -269,10 +271,6 @@ class GraphStore:
         self._in: dict[int, list[int]] = {}
         self._next_node_ordinal = 1
         self._next_edge_ordinal = 1
-        self._indexed_fields = {
-            label: tuple(fields)
-            for label, fields in (indexed_fields or DEFAULT_INDEXED_FIELDS).items()
-        }
         self._index = FullTextIndex()
         # label -> key value -> node ordinals, for the labels in KEY_FIELDS
         self._by_key: dict[str, dict[Any, list[int]]] = {label: {} for label in KEY_FIELDS}
@@ -337,7 +335,7 @@ class GraphStore:
     def _maybe_index(self, rec: NodeRecord) -> None:
         fields: dict[str, str] = {}
         for label in rec.labels:
-            for fname in self._indexed_fields.get(label, ()):
+            for fname in DEFAULT_INDEXED_FIELDS.get(label, ()):
                 value = rec.properties.get(fname)
                 if value is None:
                     continue
@@ -377,13 +375,6 @@ class GraphStore:
                 return None
             rec = self._nodes.get(element_id.ordinal)
             return self._copy_node(rec) if rec else None
-
-    def get_edge(self, element_id: ElementId) -> EdgeRecord | None:
-        with self.read_session():
-            if element_id.kind != "edge":
-                return None
-            rec = self._edges.get(element_id.ordinal)
-            return self._copy_edge(rec) if rec else None
 
     def node_labels(self, element_id: ElementId) -> frozenset[str] | None:
         with self.read_session():
@@ -480,11 +471,24 @@ class GraphStore:
     # --- snapshots ---
 
     def snapshot_save(self, path: str) -> None:
+        """Replace the file at ``path`` with a snapshot, atomically: the bytes
+        go to a temporary file in the same directory, reach the disk, and only
+        then take the target's name, so a crash or a failure at any point
+        leaves either the previous file or the new one, never a torn one."""
+        data = self.snapshot_bytes()
+        tmp = None
         try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(self.snapshot_bytes().decode("utf-8"))
+            fd, tmp = tempfile.mkstemp(prefix=".snapshot-", dir=os.path.dirname(path) or ".")
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
         except OSError as exc:
             raise FileIoError(f"cannot write snapshot to {path}: {exc}") from exc
+        finally:
+            if tmp is not None and os.path.exists(tmp):  # not replaced: a failure
+                os.unlink(tmp)
 
     def snapshot_bytes(self) -> bytes:
         """Deterministic serialization; equal stores yield equal bytes."""
@@ -531,20 +535,16 @@ class GraphStore:
         return ("\n".join(lines) + "\n").encode("utf-8")
 
     @classmethod
-    def snapshot_load(
-        cls, path: str, indexed_fields: Mapping[str, Sequence[str]] | None = None
-    ) -> "GraphStore":
+    def snapshot_load(cls, path: str) -> "GraphStore":
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = fh.read()
         except OSError as exc:
             raise FileIoError(f"cannot read snapshot from {path}: {exc}") from exc
-        return cls.from_snapshot_bytes(raw.encode("utf-8"), indexed_fields)
+        return cls.from_snapshot_bytes(raw.encode("utf-8"))
 
     @classmethod
-    def from_snapshot_bytes(
-        cls, data: bytes, indexed_fields: Mapping[str, Sequence[str]] | None = None
-    ) -> "GraphStore":
+    def from_snapshot_bytes(cls, data: bytes) -> "GraphStore":
         lines = data.decode("utf-8").splitlines()
         if not lines:
             raise CorruptSnapshotError("empty snapshot")
@@ -558,7 +558,7 @@ class GraphStore:
             or header.get("version") != SNAPSHOT_VERSION
         ):
             raise CorruptSnapshotError("not a mcgraph snapshot or unsupported version")
-        store = cls(indexed_fields)
+        store = cls()
         try:
             store._next_node_ordinal = int(header["next_node_ordinal"])
             store._next_edge_ordinal = int(header["next_edge_ordinal"])

@@ -16,7 +16,6 @@ serialization an adapter architecture pays.
 from __future__ import annotations
 
 import http.client
-import json
 import queue
 import secrets
 import threading
@@ -26,6 +25,7 @@ from http.server import BaseHTTPRequestHandler
 from urllib.parse import parse_qs, quote, urlsplit
 
 from . import wire
+from .cards import _loads
 from .errors import ApiError, NotFoundError
 from .registry import Registry
 from .rest import MAX_BODY_BYTES, QuietThreadingHTTPServer, read_request_body
@@ -272,8 +272,8 @@ class McpServer:
     def handle_post_body(self, session: McpSession, raw: bytes, auth: str | None) -> None:
         with session.lock:
             try:
-                message = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                message = _loads(raw)
+            except ValueError as exc:
                 session.emit(_error_response(None, PARSE_ERROR, f"parse error: {exc}"))
                 return
             if not isinstance(message, dict) or message.get("jsonrpc") != "2.0" \

@@ -62,6 +62,15 @@ class SearchHit:
     short_description: str
 
 
+def _properties(record) -> dict[str, Any]:
+    """A record's node properties: its non-None stored fields, in wire order."""
+    return {
+        name: value
+        for name in cards.PROPERTY_FIELDS[type(record)]
+        if (value := getattr(record, name)) is not None
+    }
+
+
 def _unwrap(exc: WorkFailedError) -> ApiError:
     if isinstance(exc.cause, ApiError):
         return exc.cause
@@ -83,55 +92,21 @@ class Registry:
         def work(tx: WriteTransaction) -> None:
             if self.store.find_nodes("ModelCard", {"external_id": mc_id}):
                 raise DuplicateCardError(f"card {mc_id} already ingested")
-            card_node = tx.create_node(
-                {"ModelCard"},
-                {
-                    "external_id": mc_id,
-                    "name": doc.name,
-                    "version": doc.version,
-                    "author": doc.author,
-                    "short_description": doc.short_description,
-                    "full_description": doc.full_description,
-                    "keywords": list(doc.keywords),
-                    "input_type": doc.input_type,
-                    "output_type": doc.output_type,
-                    "documentation_format_version": doc.documentation_format_version,
-                },
-            )
-            ai = doc.ai_model
-            model_props: dict[str, Any] = {
-                "name": ai.name,
-                "version": ai.version,
-                "owner": ai.owner,
-                "artifact_location": ai.artifact_location,
-                "license": ai.license,
-                "framework": ai.framework,
-                "model_type": ai.model_type,
-                "test_accuracy": ai.test_accuracy,
-                "lifecycle_stage": ai.lifecycle_stage,
-            }
-            if ai.container_image_location is not None:
-                model_props["container_image_location"] = ai.container_image_location
-            model_node = tx.create_node({"Model"}, model_props)
+            card_node = tx.create_node({"ModelCard"}, _properties(doc))
+            model_node = tx.create_node({"Model"}, _properties(doc.ai_model))
             tx.create_edge(card_node, model_node, "HAS_MODEL")
             if doc.bias_analysis is not None:
-                bias_node = tx.create_node(
-                    {"BiasAnalysis"},
-                    {
-                        "demographic_parity": doc.bias_analysis.demographic_parity,
-                        "equal_odds": doc.bias_analysis.equal_odds,
-                        "notes": doc.bias_analysis.notes,
-                    },
-                )
+                bias_node = tx.create_node({"BiasAnalysis"}, _properties(doc.bias_analysis))
                 tx.create_edge(card_node, bias_node, "HAS_BIAS_ANALYSIS")
-            if doc.xai_analysis is not None:
+            xai = doc.xai_analysis
+            if xai is not None:
                 xai_node = tx.create_node(
                     {"XAIAnalysis"},
                     {
-                        "method": doc.xai_analysis.method,
-                        "feature_names": [n for n, _ in doc.xai_analysis.top_features],
-                        "feature_importances": [v for _, v in doc.xai_analysis.top_features],
-                        "notes": doc.xai_analysis.notes,
+                        "method": xai.method,
+                        "feature_names": [f.name for f in xai.top_features],
+                        "feature_importances": [f.importance for f in xai.top_features],
+                        "notes": xai.notes,
                     },
                 )
                 tx.create_edge(card_node, xai_node, "HAS_XAI_ANALYSIS")
@@ -152,25 +127,7 @@ class Registry:
         dep: DeploymentRecord,
         pending_devices: dict[str, ElementId],
     ) -> ElementId:
-        props: dict[str, Any] = {
-            "deployment_id": dep.deployment_id,
-            "device_id": dep.device_id,
-            "start_time": dep.start_time,
-        }
-        if dep.end_time is not None:
-            props["end_time"] = dep.end_time
-        props.update(
-            location=dep.location,
-            mean_latency_ms=dep.mean_latency_ms,
-            mean_accuracy=dep.mean_accuracy,
-            requests_served=dep.requests_served,
-            cpu_utilization=dep.cpu_utilization,
-            gpu_utilization=dep.gpu_utilization,
-            energy_joules=dep.energy_joules,
-        )
-        if dep.notes is not None:
-            props["notes"] = dep.notes
-        dep_node = tx.create_node({"Deployment"}, props)
+        dep_node = tx.create_node({"Deployment"}, _properties(dep))
         tx.create_edge(model_node, dep_node, "HAS_DEPLOYMENT")
         device_node = pending_devices.get(dep.device_id)
         if device_node is None:

@@ -10,7 +10,6 @@ one-REST-call-per-operation contract is checked against it.
 from __future__ import annotations
 
 import hashlib
-import json
 import sys
 import threading
 from dataclasses import dataclass
@@ -21,6 +20,7 @@ from . import wire
 from .cards import (
     LINKSET_MEDIA_TYPE,
     LinkEntry,
+    _loads,
     linkset_to_jsonable,
     parse_deployment,
     parse_model_card,
@@ -346,8 +346,8 @@ def _make_handler(server: RestServer):
 
 def _json_object(body: bytes) -> dict:
     try:
-        payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        payload = _loads(body)
+    except ValueError as exc:
         raise MalformedJsonError(f"invalid JSON body: {exc}") from exc
     if not isinstance(payload, dict):
         raise MalformedJsonError("body must be a JSON object")

@@ -1,8 +1,8 @@
 """Wire-level JSON projections shared by the REST and MCP frontends.
 
-Key order is fixed here (element_id first, then declared fields, then any
-leftovers sorted) so the two frontends emit byte-identical JSON for the same
-store state.
+Key order is fixed here (element_id first, then the record's fields in the
+order its ``cards`` dataclass declares them, then any leftovers sorted) so
+the two frontends emit byte-identical JSON for the same store state.
 """
 
 from __future__ import annotations
@@ -11,24 +11,16 @@ import json
 from datetime import datetime
 from typing import Any
 
+from . import cards
 from .graphstore import NodeRecord, render_timestamp
 
-MODEL_CARD_FIELDS = (
-    "external_id", "name", "version", "author", "short_description",
-    "full_description", "keywords", "input_type", "output_type",
-    "documentation_format_version",
-)
-MODEL_FIELDS = (
-    "name", "version", "owner", "artifact_location", "container_image_location",
-    "license", "framework", "model_type", "test_accuracy", "lifecycle_stage",
-)
-BIAS_FIELDS = ("demographic_parity", "equal_odds", "notes")
+MODEL_CARD_FIELDS = cards.PROPERTY_FIELDS[cards.ModelCardDocument]
+MODEL_FIELDS = cards.PROPERTY_FIELDS[cards.AIModelInfo]
+BIAS_FIELDS = cards.PROPERTY_FIELDS[cards.BiasAnalysis]
+# the one node whose stored shape differs from its document shape: the
+# document's top_features pairs are stored as two parallel lists
 XAI_FIELDS = ("method", "feature_names", "feature_importances", "notes")
-DEPLOYMENT_FIELDS = (
-    "deployment_id", "device_id", "start_time", "end_time", "location",
-    "mean_latency_ms", "mean_accuracy", "requests_served", "cpu_utilization",
-    "gpu_utilization", "energy_joules", "notes",
-)
+DEPLOYMENT_FIELDS = cards.PROPERTY_FIELDS[cards.DeploymentRecord]
 
 
 def _jsonable(value: Any) -> Any:

@@ -145,6 +145,30 @@ def raw_post(port: int, path: str, content_lengths: list[str] | None) -> tuple[i
     return int(headers.split(b" ", 2)[1]), json.loads(body)
 
 
+# JSON bodies whose decoding fails outside JSONDecodeError: an integer literal
+# over the interpreter's 4,300-digit limit (ValueError) and nesting past the
+# recursion limit (RecursionError)
+UNDECODABLE_JSON = [
+    pytest.param(b"1" * 5000, id="5000-digit-int"),
+    pytest.param(b"[" * 200_000 + b"]" * 200_000, id="200k-deep"),
+]
+
+
+def raw_json_post(port: int, path: str, body: bytes) -> tuple[int, dict]:
+    """POST ``body`` over a raw socket and read the reply until the server
+    closes; a server that drops the connection unanswered fails here."""
+    head = (f"POST {path} HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n")
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(head.encode("ascii") + body)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    headers, _, payload = reply.partition(b"\r\n\r\n")
+    assert headers, "connection closed without a reply"
+    return int(headers.split(b" ", 2)[1]), json.loads(payload)
+
+
 @pytest.fixture
 def registry() -> Registry:
     return Registry()

@@ -14,12 +14,14 @@ from mcard_registry.cards import (
     document_to_jsonable,
     infer_relationship_type,
     linkset_to_jsonable,
+    parse_deployment,
     parse_model_card,
     serialize_link_header,
     serialize_model_card,
 )
 from mcard_registry.errors import (
     AmbiguousLabelError,
+    ApiError,
     EmptyComponentError,
     IdMismatchError,
     MalformedJsonError,
@@ -149,6 +151,246 @@ def test_round_trip_over_generated_corpus():
         doc = parse_model_card(json.dumps(card))
         re_parsed = parse_model_card(serialize_model_card(doc))
         assert re_parsed == doc, f"card {idx} failed round-trip"
+
+
+# --- field-by-field characterisation ---
+#
+# One row per (field, fault): the JSON value put at the field's path (DELETE
+# removes the key) and the exact (code, detail) the parser answers, or None
+# when the card is accepted. Rows marked NEW are inputs that used to escape
+# as TypeError / OverflowError (a 500 over HTTP) and now get a schema error;
+# rows marked CHANGED are non-list top_features that used to be iterated
+# (a string per character, an object per key) and are now rejected whole.
+
+DELETE = object()
+BIG = 10 ** 400  # an integer no float can hold
+
+
+def _full_card() -> dict:
+    """A card with every optional field present, so each can be faulted."""
+    card = card_dict(deployments=[deployment_dict(0, notes="calm")])
+    card["ai_model"]["container_image_location"] = "https://images.example.org/resnet:1.0"
+    card["bias_analysis"] = {"demographic_parity": 0.8, "equal_odds": 0.7, "notes": "n"}
+    card["xai_analysis"] = {
+        "method": "shap",
+        "top_features": [{"name": "ear_shape", "importance": 0.4}],
+        "notes": "x",
+    }
+    return card
+
+
+def _sv(path: str, reason: str) -> tuple[str, str]:
+    return ("SCHEMA_VIOLATION", f"{path}: {reason}")
+
+
+def _name_faults(path):  # required non-blank string
+    return [("missing", DELETE, _sv(path, "missing required field")),
+            ("wrong-type", 5, _sv(path, "expected str")),
+            ("blank", "  ", _sv(path, "must be non-empty"))]
+
+
+def _text_faults(path):  # required string, blank allowed
+    return [("missing", DELETE, _sv(path, "missing required field")),
+            ("wrong-type", 5, _sv(path, "expected str")),
+            ("blank", "", None)]
+
+
+def _number_faults(path):  # required finite number
+    return [("missing", DELETE, _sv(path, "missing required field")),
+            ("wrong-type", "0.5", _sv(path, "expected a number")),
+            ("bool", True, _sv(path, "expected a number")),
+            ("nan", float("nan"), _sv(path, "must be finite")),
+            ("NEW-too-big", BIG, _sv(path, "must be finite"))]
+
+
+def _non_negative_faults(path):
+    return _number_faults(path) + [
+        ("infinite", float("inf"), _sv(path, "must be finite")),
+        ("negative", -1.0, _sv(path, "must be non-negative")),
+        ("int", 3, None)]
+
+
+def _timestamp_faults(path):
+    return [("wrong-type", 5, _sv(path, "expected str")),
+            ("not-a-timestamp", "yesterday", _sv(path, "not an ISO-8601 UTC timestamp")),
+            ("no-timezone", "2024-01-01T00:00:00",
+             _sv(path, "not an ISO-8601 UTC timestamp"))]
+
+
+def _deployment_faults(prefix):
+    rows = []
+    for key in ("deployment_id", "device_id"):
+        rows += [(key, *row) for row in _name_faults(prefix + key)]
+    rows += [("start_time", "missing", DELETE, _sv(prefix + "start_time", "missing required field")),
+             ("start_time", "blank", " ", _sv(prefix + "start_time", "must be non-empty"))]
+    rows += [("start_time", *row) for row in _timestamp_faults(prefix + "start_time")]
+    rows += [("end_time", "missing", DELETE, None),
+             ("end_time", "null", None, None),
+             ("end_time", "blank", "", _sv(prefix + "end_time", "must be non-empty")),
+             ("end_time", "before-start", "2023-01-01T00:00:00Z",
+              _sv(prefix + "end_time", "precedes start_time"))]
+    rows += [("end_time", *row) for row in _timestamp_faults(prefix + "end_time")]
+    rows += [("location", *row) for row in _text_faults(prefix + "location")]
+    for key in ("mean_latency_ms", "mean_accuracy", "cpu_utilization",
+                "gpu_utilization", "energy_joules"):
+        rows += [(key, *row) for row in _non_negative_faults(prefix + key)]
+    key = "requests_served"
+    rows += [(key, "missing", DELETE, _sv(prefix + key, "missing required field")),
+             (key, "wrong-type", 1.5, _sv(prefix + key, "expected an integer")),
+             (key, "bool", True, _sv(prefix + key, "expected an integer")),
+             (key, "negative", -1, _sv(prefix + key, "must be non-negative")),
+             (key, "NEW-too-big", BIG, _sv(prefix + key, "must be finite"))]
+    rows += [("notes", "missing", DELETE, None),
+             ("notes", "null", None, None),
+             ("notes", "wrong-type", 5, _sv(prefix + "notes", "must be a string"))]
+    return rows
+
+
+def _card_rows():
+    rows = []  # (path tuple, fault name, value, expected)
+    for key in ("external_id", "name", "version", "author"):
+        rows += [((key,), *row) for row in _name_faults(key)]
+    rows += [(("name",), "id-mismatch", "other", (
+        "ID_MISMATCH", "external_id 'jdoe-resnet-1.0' does not match composed id "
+                       "'jdoe-other-1.0'"))]
+    for key in ("short_description", "full_description", "input_type", "output_type"):
+        rows += [((key,), *row) for row in _text_faults(key)]
+    rows += [(("keywords",), "missing", DELETE, _sv("keywords", "missing required field")),
+             (("keywords",), "wrong-type", "wildlife", _sv("keywords", "expected list")),
+             (("keywords",), "not-strings", ["a", 1], _sv("keywords", "must be a list of strings")),
+             (("keywords",), "blank", [], None)]
+    rows += [(("documentation_format_version",), "missing", DELETE, None),
+             (("documentation_format_version",), "number", 2, None)]
+    rows += [(("ai_model",), "missing", DELETE, _sv("ai_model", "missing required field")),
+             (("ai_model",), "wrong-type", "x", _sv("ai_model", "must be an object")),
+             (("ai_model",), "null", None, _sv("ai_model", "must be an object"))]
+    for key in ("name", "version", "owner", "license", "framework", "model_type"):
+        rows += [(("ai_model", key), *row) for row in _name_faults("ai_model." + key)]
+    path = "ai_model.artifact_location"
+    rows += [(("ai_model", "artifact_location"), *row) for row in _name_faults(path)]
+    rows += [(("ai_model", "artifact_location"), "not-a-url", "models/x.pt",
+              _sv(path, "must be an absolute URL"))]
+    path = "ai_model.container_image_location"
+    rows += [(("ai_model", "container_image_location"), fault, value, expected)
+             for fault, value, expected in [
+                 ("missing", DELETE, None),
+                 ("null", None, None),
+                 ("wrong-type", 5, _sv(path, "must be an absolute URL")),
+                 ("blank", "", _sv(path, "must be an absolute URL")),
+                 ("not-a-url", "images/x", _sv(path, "must be an absolute URL"))]]
+    path = "ai_model.test_accuracy"
+    rows += [(("ai_model", "test_accuracy"), *row) for row in _number_faults(path)]
+    rows += [(("ai_model", "test_accuracy"), "above-range", 1.3, _sv(path, "out of range [0, 1]")),
+             (("ai_model", "test_accuracy"), "below-range", -0.1, _sv(path, "out of range [0, 1]")),
+             (("ai_model", "test_accuracy"), "int", 1, None)]
+    path = "ai_model.lifecycle_stage"
+    rows += [(("ai_model", "lifecycle_stage"), *row) for row in _name_faults(path)]
+    rows += [(("ai_model", "lifecycle_stage"), "unknown-stage", "retired",
+              _sv(path, "unknown stage 'retired'"))]
+    rows += [(("bias_analysis",), "missing", DELETE, None),
+             (("bias_analysis",), "null", None, None),
+             (("bias_analysis",), "wrong-type", 5, _sv("bias_analysis", "must be an object"))]
+    for key in ("demographic_parity", "equal_odds"):
+        rows += [(("bias_analysis", key), *row) for row in _number_faults("bias_analysis." + key)]
+    rows += [(("bias_analysis", "demographic_parity"), "negative", -5, None)]
+    for parent in ("bias_analysis", "xai_analysis"):
+        rows += [((parent, "notes"), "missing", DELETE, None),
+                 ((parent, "notes"), "null", None, None),
+                 ((parent, "notes"), "wrong-type", 5, None)]
+    rows += [(("xai_analysis",), "missing", DELETE, None),
+             (("xai_analysis",), "wrong-type", [], _sv("xai_analysis", "must be an object"))]
+    rows += [(("xai_analysis", "method"), *row) for row in _name_faults("xai_analysis.method")]
+    path = "xai_analysis.top_features"
+    rows += [(("xai_analysis", "top_features"), "missing", DELETE, None),
+             (("xai_analysis", "top_features"), "blank", [], None),
+             (("xai_analysis", "top_features"), "NEW-null", None, _sv(path, "must be a list")),
+             (("xai_analysis", "top_features"), "NEW-number", 5, _sv(path, "must be a list")),
+             (("xai_analysis", "top_features"), "NEW-bool", True, _sv(path, "must be a list")),
+             (("xai_analysis", "top_features"), "CHANGED-string", "ab", _sv(path, "must be a list")),
+             (("xai_analysis", "top_features"), "CHANGED-object", {}, _sv(path, "must be a list")),
+             (("xai_analysis", "top_features"), "entry-wrong-type", [5],
+              _sv(path + "[0]", "expected {name, importance}")),
+             (("xai_analysis", "top_features"), "entry-missing-importance", [{"name": "a"}],
+              _sv(path + "[0]", "expected {name, importance}"))]
+    path += "[0].importance"
+    rows += [(("xai_analysis", "top_features", 0, "importance"), fault, value, expected)
+             for fault, value, expected in [
+                 ("wrong-type", "x", _sv(path, "expected a number")),
+                 ("bool", False, _sv(path, "expected a number")),
+                 ("nan", float("nan"), _sv(path, "must be finite")),
+                 ("NEW-too-big", BIG, _sv(path, "must be finite"))]]
+    rows += [(("xai_analysis", "top_features", 0, "name"), "number", 7, None)]
+    rows += [(("deployments",), "missing", DELETE, None),
+             (("deployments",), "wrong-type", "x", _sv("deployments", "must be a list")),
+             (("deployments",), "null", None, _sv("deployments", "must be a list")),
+             (("deployments", 0), "wrong-type", 5, _sv("deployments[0]", "must be an object"))]
+    rows += [(("deployments", 0, key), fault, value, expected)
+             for key, fault, value, expected in _deployment_faults("deployments[0].")]
+    return rows
+
+
+def _with(obj, path, value):
+    obj = json.loads(json.dumps(obj))
+    target = obj
+    for step in path[:-1]:
+        target = target[step]
+    if value is DELETE:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return obj
+
+
+def _outcome(parse, obj):
+    try:
+        parse(obj)
+    except ApiError as exc:
+        return exc.code, exc.detail
+    return None
+
+
+CARD_ROWS = _card_rows()
+
+
+@pytest.mark.parametrize(
+    "path,value,expected",
+    [pytest.param(path, value, expected, id=".".join(map(str, path)) + ":" + fault)
+     for path, fault, value, expected in CARD_ROWS])
+def test_card_field_fault(path, value, expected):
+    card = _with(_full_card(), path, value)
+    assert _outcome(lambda c: parse_model_card(json.dumps(c)), card) == expected
+
+
+@pytest.mark.parametrize(
+    "key,value,expected",
+    [pytest.param(key, value, expected, id=f"{key}:{fault}")
+     for key, fault, value, expected in _deployment_faults("deployment.")])
+def test_deployment_field_fault(key, value, expected):
+    dep = _with(deployment_dict(0, notes="calm"), (key,), value)
+    assert _outcome(parse_deployment, dep) == expected
+
+
+def test_non_object_payloads():
+    assert _outcome(parse_model_card, "[]") == (
+        "SCHEMA_VIOLATION", "<root>: card document must be a JSON object")
+    assert _outcome(parse_deployment, 5) == _sv("deployment", "must be an object")
+
+
+def test_fault_table_covers_every_field():
+    covered = {path for path, *_ in CARD_ROWS}
+    card = _full_card()
+    expected = {(k,) for k in card}
+    for parent in ("ai_model", "bias_analysis", "xai_analysis"):
+        expected |= {(parent, k) for k in card[parent]}
+    expected |= {("deployments", 0, k) for k in card["deployments"][0]}
+    assert expected <= covered
+
+
+def test_accepted_faults_parse_to_the_documented_value():
+    card = _with(_full_card(), ("documentation_format_version",), 2)
+    assert parse_model_card(json.dumps(card)).documentation_format_version == "2"
+    card = _with(_full_card(), ("bias_analysis", "notes"), 5)
+    assert parse_model_card(json.dumps(card)).bias_analysis.notes == ""
 
 
 # --- relationship inference ---

@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,3 +131,30 @@ def test_index_matches_oracle_on_random_corpora(docs, query):
     assert set(hits) == set(oracle)
     for doc, score in hits.items():
         assert score == pytest.approx(oracle[doc])
+
+
+_SEEDED_QUERIES = """
+import random, sys
+from mcard_registry.fulltext import FullTextIndex
+rng = random.Random(7)
+words = [f"w{i:03d}" for i in range(300)]
+index = FullTextIndex()
+for ordinal in range(1, 1001):
+    index.add_document(ordinal, {"text": " ".join(rng.choices(words, k=40))})
+for _ in range(100):
+    for ordinal, score in index.query(" ".join(rng.sample(words, 3)), 10):
+        print(ordinal, score.hex())
+"""
+
+
+def test_scores_are_identical_across_hash_seeds():
+    """A multi-term query sums one float per term; the sum must not depend on
+    the string-hash seed of the process that runs it."""
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", _SEEDED_QUERIES], env=env, check=True,
+            capture_output=True, text=True, timeout=60).stdout)
+    assert outputs[0].count("\n") == 1000
+    assert outputs[0] == outputs[1]

@@ -203,6 +203,31 @@ def test_snapshot_unwritable_path_is_io_error(tmp_path):
         store.snapshot_save(str(tmp_path / "no" / "such" / "dir" / "x.jsonl"))
 
 
+def _fail_encode(store, monkeypatch):
+    monkeypatch.setattr(store, "snapshot_bytes", lambda: 1 / 0)
+    return ZeroDivisionError
+
+
+def _fail_fsync(store, monkeypatch):
+    def fsync(fd):
+        raise OSError(5, "simulated disk failure")
+    monkeypatch.setattr("os.fsync", fsync)
+    return FileIoError
+
+
+@pytest.mark.parametrize("inject", [_fail_encode, _fail_fsync])
+def test_failed_snapshot_save_keeps_previous_file(tmp_path, monkeypatch, inject):
+    store = _populated_store()
+    path = tmp_path / "snap.jsonl"
+    store.snapshot_save(str(path))
+    before = path.read_bytes()
+    store.create_node({"Extra"}, {"k": 1})
+    with pytest.raises(inject(store, monkeypatch)):
+        store.snapshot_save(str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["snap.jsonl"]
+
+
 def test_snapshot_load_missing_file_is_io_error(tmp_path):
     with pytest.raises(FileIoError):
         GraphStore.snapshot_load(str(tmp_path / "absent.jsonl"))

@@ -11,9 +11,11 @@ from mcard_registry.rest import RestConfig, RestServer
 
 from conftest import (
     HOSTILE_CONTENT_LENGTHS,
+    UNDECODABLE_JSON,
     card_dict,
     deployment_dict,
     ingest_dict,
+    raw_json_post,
     raw_post,
 )
 
@@ -216,6 +218,21 @@ def test_malformed_json_gives_parse_error_on_stream(native):
         message = client.next_message()
         assert message["error"]["code"] == -32700
         assert message["id"] is None
+    finally:
+        client.close()
+
+
+@pytest.mark.parametrize("body", UNDECODABLE_JSON)
+def test_undecodable_json_gives_parse_error_on_stream(native, body):
+    server, _ = native
+    client = _open(server)
+    try:
+        status, reply = raw_json_post(
+            server.port, f"/messages?session_id={client.session_id}", body)
+        assert (status, reply) == (202, {"status": "accepted"})
+        message = client.next_message()
+        assert (message["id"], message["error"]["code"]) == (None, -32700)
+        assert client.request("tools/list")["result"]["tools"]
     finally:
         client.close()
 

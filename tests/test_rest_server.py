@@ -9,9 +9,11 @@ from mcard_registry.rest import RestConfig, RestServer
 
 from conftest import (
     HOSTILE_CONTENT_LENGTHS,
+    UNDECODABLE_JSON,
     card_dict,
     deployment_dict,
     ingest_dict,
+    raw_json_post,
     raw_post,
 )
 
@@ -321,6 +323,40 @@ def test_hostile_content_length_rejected_and_closed(server, url, status, content
         (status, "BAD_CONTENT_LENGTH" if status == 400 else "BODY_TOO_LARGE")
     assert server.access_log[-1].status == status
     assert requests.get(f"{url}/health").status_code == 200
+
+
+@pytest.mark.parametrize("body", UNDECODABLE_JSON)
+@pytest.mark.parametrize("path", ["/modelcard", "/edge", "/experiment",
+                                  "/modelcard/jdoe-resnet-1.0/deployment"])
+def test_undecodable_json_is_400(server, url, path, body):
+    _seed_card(server)
+    status, reply = raw_json_post(server.port, path, body)
+    assert (status, reply["error"]) == (400, "MALFORMED_JSON")
+    assert requests.get(f"{url}/health").status_code == 200
+
+
+def _huge_accuracy(card):
+    card["ai_model"]["test_accuracy"] = 10 ** 400
+
+
+def _null_features(card):
+    card["xai_analysis"] = {"method": "shap", "top_features": None}
+
+
+def _huge_requests(card):
+    card["deployments"] = [deployment_dict(0, requests_served=10 ** 400)]
+
+
+@pytest.mark.parametrize("fault,detail", [
+    (_huge_accuracy, "ai_model.test_accuracy: must be finite"),
+    (_null_features, "xai_analysis.top_features: must be a list"),
+    (_huge_requests, "deployments[0].requests_served: must be finite"),
+])
+def test_hostile_card_field_is_400(server, fault, detail):
+    card = card_dict()
+    fault(card)
+    status, reply = raw_json_post(server.port, "/modelcard", json.dumps(card).encode())
+    assert (status, reply) == (400, {"error": "SCHEMA_VIOLATION", "detail": detail})
 
 
 # --- auth ---
