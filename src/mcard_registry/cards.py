@@ -331,13 +331,35 @@ def _loads(data: bytes | str):
     """``json.loads`` for text from outside the program. Every way that text
     can fail to decode raises ValueError: bad UTF-8 (UnicodeDecodeError), bad
     syntax (JSONDecodeError), an integer literal over the interpreter's digit
-    limit, or nesting deeper than the recursion limit."""
+    limit, nesting deeper than the recursion limit, or a string holding a lone
+    UTF-16 surrogate escape such as ``"\\ud800"`` (it could never be encoded
+    back out as UTF-8)."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
-        return json.loads(data)
+        obj = json.loads(data)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
+    # UTF-8 cannot carry a surrogate: only a \uD800-\uDFFF escape yields one
+    if "\\ud" in data or "\\uD" in data:
+        _reject_lone_surrogates(obj)
+    return obj
+
+
+def _reject_lone_surrogates(obj) -> None:
+    stack = [obj]
+    while stack:  # iterative: the document may nest up to the recursion limit
+        item = stack.pop()
+        if isinstance(item, str):
+            try:
+                item.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError("string holds a lone UTF-16 surrogate") from None
+        elif isinstance(item, dict):
+            stack.extend(item)
+            stack.extend(item.values())
+        elif isinstance(item, list):
+            stack.extend(item)
 
 
 def parse_deployment(obj, where: str = "deployment.") -> DeploymentRecord:

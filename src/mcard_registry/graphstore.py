@@ -444,6 +444,20 @@ class GraphStore:
         with self.read_session():
             return [(node_id(ordinal), score) for ordinal, score in self._index.query(text, limit)]
 
+    def _ranked_values(
+        self, text: str, limit: int, label: str, keys: tuple[str, ...]
+    ) -> list[tuple[float, tuple[Any, ...]]]:
+        """Ranked search hits that carry ``label``, as (score, the values of
+        ``keys``, ``""`` for a missing one), all read under one read lock.
+        No record is copied: only scalar values leave the store."""
+        with self.read_session():
+            hits = []
+            for ordinal, score in self._index.query(text, limit):
+                rec = self._nodes.get(ordinal)
+                if rec is not None and label in rec.labels:
+                    hits.append((score, tuple(rec.properties.get(k, "") for k in keys)))
+            return hits
+
     def node_count(self) -> int:
         with self.read_session():
             return len(self._nodes)

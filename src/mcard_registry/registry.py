@@ -211,22 +211,11 @@ class Registry:
         if not isinstance(limit, int) or limit < 1:
             raise SchemaViolationError("limit", "must be an integer >= 1")
         limit = min(limit, SEARCH_LIMIT_CAP)
-        hits = self.store.fulltext_query(query_text, limit)
-        out = []
-        for element_id, score in hits:
-            record = self.store.get_node(element_id)
-            if record is None or "ModelCard" not in record.labels:
-                continue
-            props = record.properties
-            out.append(
-                SearchHit(
-                    mc_id=props.get("external_id", ""),
-                    score=score,
-                    name=props.get("name", ""),
-                    short_description=props.get("short_description", ""),
-                )
-            )
-        return out
+        return [
+            SearchHit(mc_id=mc_id, score=score, name=name, short_description=description)
+            for score, (mc_id, name, description) in self.store._ranked_values(
+                query_text, limit, "ModelCard", ("external_id", "name", "short_description"))
+        ]
 
     # --- edge pipeline ---
 

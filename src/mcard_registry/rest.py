@@ -3,8 +3,9 @@
 Every response is UTF-8 JSON except the linkset document (its own media
 type) and HEAD (headers only). Bodies over 1 MiB go out chunked so
 multi-megabyte cards stream on keep-alive connections. An in-memory access
-log records one entry per request; the layered MCP backend's
-one-REST-call-per-operation contract is checked against it.
+log records one entry per request and keeps the newest ``ACCESS_LOG_CAP``;
+the layered MCP backend's one-REST-call-per-operation contract is checked
+against it.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import sys
 import threading
+from collections import deque
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlsplit
@@ -32,6 +34,7 @@ from .registry import Registry
 CHUNK_THRESHOLD = 1024 * 1024
 CHUNK_SIZE = 64 * 1024
 MAX_BODY_BYTES = 64 * 1024 * 1024
+ACCESS_LOG_CAP = 4096  # entries; older ones are dropped
 
 
 class QuietThreadingHTTPServer(ThreadingHTTPServer):
@@ -78,7 +81,7 @@ class RestConfig:
             raise ValueError("max_body_bytes must be at least 1 MiB")
 
 
-@dataclass
+@dataclass(slots=True)
 class AccessLogEntry:
     method: str
     path: str
@@ -116,7 +119,7 @@ class RestServer:
     def __init__(self, registry: Registry, config: RestConfig | None = None):
         self.registry = registry
         self.config = config or RestConfig()
-        self.access_log: list[AccessLogEntry] = []
+        self._log: deque[AccessLogEntry] = deque(maxlen=ACCESS_LOG_CAP)
         self._log_lock = threading.Lock()
         handler = _make_handler(self)
         self._httpd = QuietThreadingHTTPServer((self.config.host, self.config.port), handler)
@@ -141,9 +144,15 @@ class RestServer:
         self._httpd.shutdown()
         self._httpd.server_close()
 
+    @property
+    def access_log(self) -> list[AccessLogEntry]:
+        """The newest ``ACCESS_LOG_CAP`` entries, oldest first (a snapshot)."""
+        with self._log_lock:
+            return list(self._log)
+
     def record(self, entry: AccessLogEntry) -> None:
         with self._log_lock:
-            self.access_log.append(entry)
+            self._log.append(entry)
 
 
 def _make_handler(server: RestServer):

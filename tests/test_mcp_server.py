@@ -237,6 +237,30 @@ def test_undecodable_json_gives_parse_error_on_stream(native, body):
         client.close()
 
 
+# Each message echoes its lone surrogate back in a reply (the id, the method
+# name, a tool argument): decoded, it would kill the SSE writer at encode.
+@pytest.mark.parametrize("message", [
+    {"jsonrpc": "2.0", "id": "\ud800", "method": "tools/list"},
+    {"jsonrpc": "2.0", "id": 7, "method": "tools/\udc01"},
+    {"jsonrpc": "2.0", "id": 8, "method": "tools/call",
+     "params": {"name": "create_edge",
+                "arguments": {"source_id": "n:\udbff", "target_id": "n:1"}}},
+], ids=["id", "method", "argument"])
+def test_lone_surrogate_gives_parse_error_on_stream(native, message):
+    server, _ = native
+    client = _open(server)
+    try:
+        status, reply = raw_json_post(
+            server.port, f"/messages?session_id={client.session_id}",
+            json.dumps(message).encode())
+        assert (status, reply) == (202, {"status": "accepted"})
+        parsed = client.next_message()
+        assert (parsed["id"], parsed["error"]["code"]) == (None, -32700)
+        assert client.request("tools/list")["result"]["tools"]
+    finally:
+        client.close()
+
+
 def test_invalid_request_shape(native):
     server, _ = native
     client = _open(server)

@@ -4,6 +4,7 @@ import pytest
 import requests
 import requests.utils
 
+from mcard_registry import rest
 from mcard_registry.registry import Registry
 from mcard_registry.rest import RestConfig, RestServer
 
@@ -357,6 +358,57 @@ def test_hostile_card_field_is_400(server, fault, detail):
     fault(card)
     status, reply = raw_json_post(server.port, "/modelcard", json.dumps(card).encode())
     assert (status, reply) == (400, {"error": "SCHEMA_VIOLATION", "detail": detail})
+
+
+# A lone UTF-16 surrogate escape decodes to a string that can never be
+# encoded back out as UTF-8; stored, it would fail every later reply that
+# carries it. Each POST route gets one in a field it reads.
+_LONE_SURROGATE_BODIES = [
+    pytest.param("/modelcard", card_dict(short_description="camera \ud800 trap"), id="card"),
+    pytest.param("/edge", {"source_id": "n:1\udc00", "target_id": "n:2"}, id="edge"),
+    pytest.param("/experiment", {"experiment_id": "exp-\udfff"}, id="experiment"),
+    pytest.param("/modelcard/jdoe-resnet-1.0/deployment",
+                 deployment_dict(0, location="site \ud83d"), id="deployment"),
+]
+
+
+@pytest.mark.parametrize("path,payload", _LONE_SURROGATE_BODIES)
+def test_lone_surrogate_is_400_and_stores_nothing(server, url, path, payload):
+    _seed_card(server)
+    before = server.registry.store.snapshot_bytes()
+    status, reply = raw_json_post(server.port, path, json.dumps(payload).encode())
+    assert (status, reply["error"]) == (400, "MALFORMED_JSON")
+    assert server.registry.store.snapshot_bytes() == before
+    assert requests.get(f"{url}/search", params={"q": "camera trap"}).status_code == 200
+
+
+def test_surrogate_pair_escape_is_accepted(server, url):
+    card = card_dict(short_description="camera trap \U0001f600 classifier")
+    body = json.dumps(card).encode()  # the emoji goes out as two escapes
+    assert b"\\ud83d\\ude00" in body
+    status, reply = raw_json_post(server.port, "/modelcard", body)
+    assert status == 201, reply
+    hits = requests.get(f"{url}/search", params={"q": "camera"}).json()
+    assert hits[0]["short_description"] == card["short_description"]
+    retrieved = requests.get(f"{url}/modelcard/{reply['mc_id']}").json()
+    assert retrieved["model_card"]["short_description"] == card["short_description"]
+
+
+def test_access_log_keeps_the_newest_entries(monkeypatch):
+    monkeypatch.setattr(rest, "ACCESS_LOG_CAP", 64)  # read when a server is built
+    server = RestServer(Registry(), RestConfig()).start()
+    cap = rest.ACCESS_LOG_CAP
+    try:
+        with requests.Session() as session:
+            for i in range(2 * cap):
+                session.get(f"{server.base_url}/modelcard/none-{i}-0")
+        log = server.access_log
+    finally:
+        server.stop()
+    assert len(log) == cap
+    assert [entry.path for entry in (log[0], log[-1])] == \
+        [f"/modelcard/none-{cap}-0", f"/modelcard/none-{2 * cap - 1}-0"]
+    assert all(entry.status == 404 for entry in log)
 
 
 # --- auth ---
