@@ -86,7 +86,8 @@ def compose_mc_id(author: str, model_name: str, version: str) -> ModelCardId:
 # emit them), and each schema field carries in its metadata the check that
 # validates and converts the JSON value found at its path. A field with
 # ``kw_only=True, default=None`` may be absent or null, which leaves it None,
-# without moving it from its wire position.
+# without moving it from its wire position. A field with any other default
+# may be absent, which gives the default, but a null there fails its check.
 
 def _text(value, path: str) -> str:
     if not isinstance(value, str):
@@ -97,20 +98,6 @@ def _text(value, path: str) -> str:
 def _name(value, path: str) -> str:
     if not _text(value, path).strip():
         raise SchemaViolationError(path, "must be non-empty")
-    return value
-
-
-def _stringify(value, path: str) -> str:
-    return str(value)
-
-
-def _lenient_note(value, path: str) -> str:
-    return value if isinstance(value, str) else ""
-
-
-def _note(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaViolationError(path, "must be a string")
     return value
 
 
@@ -223,7 +210,7 @@ def _one(cls):
 class Feature:
     """One ``xai_analysis.top_features`` entry."""
 
-    name: str = _field(_stringify)
+    name: str = _field(_text)
     importance: float = _field(_number)
 
 
@@ -245,14 +232,14 @@ class AIModelInfo:
 class BiasAnalysis:
     demographic_parity: float = _field(_number)
     equal_odds: float = _field(_number)
-    notes: str = _field(_lenient_note, default="")
+    notes: str = _field(_text, default="")
 
 
 @dataclass
 class XAIAnalysis:
     method: str = _field(_name)
     top_features: list[Feature] = _field(_features, default_factory=list)
-    notes: str = _field(_lenient_note, default="")
+    notes: str = _field(_text, default="")
 
 
 @dataclass
@@ -268,7 +255,7 @@ class DeploymentRecord:
     cpu_utilization: float = _field(_non_negative)
     gpu_utilization: float = _field(_non_negative)
     energy_joules: float = _field(_non_negative)
-    notes: str | None = _field(_note, default=None, kw_only=True)
+    notes: str | None = _field(_text, default=None, kw_only=True)
 
 
 @dataclass
@@ -286,7 +273,7 @@ class ModelCardDocument:
     bias_analysis: BiasAnalysis | None = _nested(_one(BiasAnalysis), default=None, kw_only=True)
     xai_analysis: XAIAnalysis | None = _nested(_one(XAIAnalysis), default=None, kw_only=True)
     deployments: list[DeploymentRecord] = _nested(_deployments, default_factory=list)
-    documentation_format_version: str = _field(_stringify, default=DOC_FORMAT_VERSION)
+    documentation_format_version: str = _field(_text, default=DOC_FORMAT_VERSION)
     # unknown top-level keys, kept for round-trip; not part of the table
     extras: dict = field(default_factory=dict)
 
@@ -430,16 +417,13 @@ def normalize_schema_label(labels: set[str] | frozenset[str]) -> str:
 
 
 def infer_relationship_type(
-    src_labels: set[str] | frozenset[str],
-    dst_labels: set[str] | frozenset[str],
-    schema: dict[tuple[str, str], str] | None = None,
+    src_labels: set[str] | frozenset[str], dst_labels: set[str] | frozenset[str]
 ) -> str:
     if not src_labels or not dst_labels:
         raise NoSchemaLabelError("both label sets must be non-empty")
-    table = schema if schema is not None else SCHEMA_ADJACENCY
     pair = (normalize_schema_label(src_labels), normalize_schema_label(dst_labels))
     try:
-        return table[pair]
+        return SCHEMA_ADJACENCY[pair]
     except KeyError:
         raise SchemaViolationError(
             "label pair", f"({pair[0]}, {pair[1]}) has no relationship in the schema"

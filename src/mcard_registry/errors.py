@@ -1,8 +1,8 @@
 """Error taxonomy shared by the store, the registry, and both protocol frontends.
 
 Every error carries a stable machine-readable ``code`` (the value that ends up
-in wire-level ``{"error": ..., "detail": ...}`` bodies) plus a human-oriented
-``detail`` string.
+in wire-level ``{"error": ..., "detail": ...}`` bodies), the HTTP ``status``
+the REST frontend answers it with, and a human-oriented ``detail`` string.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ class ApiError(Exception):
     """Base class for all registry errors with a stable wire code."""
 
     code = "INTERNAL"
+    status = 500
 
     def __init__(self, detail: str = ""):
         super().__init__(detail or self.code)
@@ -29,6 +30,7 @@ class EmptyLabelsError(ApiError):
 
 class InvalidPropertyError(ApiError):
     code = "INVALID_PROPERTY"
+    status = 400
 
 
 class WorkFailedError(ApiError):
@@ -51,20 +53,24 @@ class CorruptSnapshotError(ApiError):
 
 class EmptyQueryError(ApiError):
     code = "EMPTY_QUERY"
+    status = 400
 
 
 # --- card domain ---
 
 class EmptyComponentError(ApiError):
     code = "EMPTY_COMPONENT"
+    status = 400
 
 
 class MalformedJsonError(ApiError):
     code = "MALFORMED_JSON"
+    status = 400
 
 
 class SchemaViolationError(ApiError):
     code = "SCHEMA_VIOLATION"
+    status = 400
 
     def __init__(self, field: str, reason: str):
         super().__init__(f"{field}: {reason}")
@@ -74,32 +80,39 @@ class SchemaViolationError(ApiError):
 
 class IdMismatchError(ApiError):
     code = "ID_MISMATCH"
+    status = 400
 
 
 class NoSchemaLabelError(ApiError):
     code = "NO_SCHEMA_LABEL"
+    status = 400
 
 
 class AmbiguousLabelError(ApiError):
     code = "AMBIGUOUS"
+    status = 400
 
 
 # --- registry ---
 
 class NotFoundError(ApiError):
     code = "NOT_FOUND"
+    status = 404
 
 
 class DuplicateCardError(ApiError):
     code = "DUPLICATE_CARD"
+    status = 409
 
 
 class DuplicateExperimentError(ApiError):
     code = "DUPLICATE_EXPERIMENT"
+    status = 409
 
 
 class NodeNotFoundError(ApiError):
     code = "NODE_NOT_FOUND"
+    status = 404
 
     def __init__(self, which: str, detail: str = ""):
         super().__init__(detail or f"{which} node not found")
@@ -108,3 +121,4 @@ class NodeNotFoundError(ApiError):
 
 class DuplicateEdgeError(ApiError):
     code = "DUPLICATE_EDGE"
+    status = 409

@@ -58,10 +58,6 @@ class FullTextIndex:
         # token -> (its postings, idf, ordinals best first, their contributions)
         self._ranked: dict[str, tuple[dict[int, int], float, list[int], array]] = {}
 
-    @property
-    def doc_count(self) -> int:
-        return len(self._doc_len)
-
     def add_document(self, ordinal: int, fields: dict[str, str]) -> None:
         """Index one node. ``fields`` maps field name to its flattened text."""
         if ordinal in self._doc_len:

@@ -216,7 +216,6 @@ class WriteTransaction:
         self.state = "open"
         self.pending_nodes: list[NodeRecord] = []
         self.pending_edges: list[tuple[EdgeRecord, bool]] = []
-        self._pending_node_ids: set[int] = set()
 
     def create_node(self, labels: Sequence[str] | set[str], properties: Mapping[str, Any]) -> ElementId:
         self._check_open()
@@ -227,7 +226,6 @@ class WriteTransaction:
         nid = node_id(self._store._next_node_ordinal)
         self._store._next_node_ordinal += 1
         self.pending_nodes.append(NodeRecord(nid, label_set, props))
-        self._pending_node_ids.add(nid.ordinal)
         return nid
 
     def create_edge(
@@ -246,15 +244,6 @@ class WriteTransaction:
         self._store._next_edge_ordinal += 1
         self.pending_edges.append((EdgeRecord(eid, src, dst, rel_type, props), ensure_unique))
         return eid
-
-    def node_exists(self, element_id: ElementId) -> bool:
-        """True if the id names a committed node or one staged in this transaction."""
-        if element_id.kind != "node":
-            return False
-        return (
-            element_id.ordinal in self._store._nodes
-            or element_id.ordinal in self._pending_node_ids
-        )
 
     def _check_open(self):
         if self.state != "open":
@@ -439,10 +428,6 @@ class GraphStore:
                 other = edge.dst if direction == "out" else edge.src
                 pairs.append((self._copy_edge(edge), self._copy_node(self._nodes[other.ordinal])))
             return pairs
-
-    def fulltext_query(self, text: str, limit: int) -> list[tuple[ElementId, float]]:
-        with self.read_session():
-            return [(node_id(ordinal), score) for ordinal, score in self._index.query(text, limit)]
 
     def _ranked_values(
         self, text: str, limit: int, label: str, keys: tuple[str, ...]

@@ -19,7 +19,6 @@ import http.client
 import queue
 import secrets
 import threading
-import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler
 from urllib.parse import parse_qs, quote, urlsplit
@@ -82,7 +81,6 @@ class McpConfig:
     rest_base_url: str | None = None  # layered only
     session_cap: int = 256
     heartbeat_seconds: float = 15.0
-    fresh_rest_connection_per_call: bool = False
 
     def __post_init__(self):
         if self.backend not in ("native", "layered"):
@@ -128,19 +126,15 @@ class NativeBackend:
 
 
 class LayeredBackend:
-    """Adapter backend: one REST request per operation, body wrapped verbatim.
+    """Adapter backend: one REST request per operation, body wrapped verbatim,
+    over one keep-alive connection per session."""
 
-    Reuses one keep-alive connection per session unless configured to dial a
-    fresh connection per call.
-    """
-
-    def __init__(self, rest_base_url: str, fresh_per_call: bool = False):
+    def __init__(self, rest_base_url: str):
         split = urlsplit(rest_base_url)
         if split.scheme != "http" or not split.netloc:
             raise ValueError(f"rest_base_url must be http://host:port, got {rest_base_url!r}")
         self._host = split.hostname
         self._port = split.port or 80
-        self._fresh_per_call = fresh_per_call
         self._conn: http.client.HTTPConnection | None = None
         self._lock = threading.Lock()
 
@@ -151,9 +145,6 @@ class LayeredBackend:
         if body is not None:
             headers["Content-Type"] = "application/json"
         with self._lock:
-            if self._fresh_per_call and self._conn is not None:
-                self._conn.close()
-                self._conn = None
             for attempt in (0, 1):
                 if self._conn is None:
                     self._conn = http.client.HTTPConnection(self._host, self._port, timeout=60)
@@ -169,9 +160,6 @@ class LayeredBackend:
                     self._conn = None
                     if attempt:
                         raise
-            if self._fresh_per_call:
-                self._conn.close()
-                self._conn = None
         return status, payload
 
     def read_card(self, mc_id: str, auth: str | None) -> str:
@@ -203,7 +191,6 @@ class McpSession:
     def __init__(self, session_id: str, backend):
         self.session_id = session_id
         self.state = "connected"  # -> initialized -> closed
-        self.created_at = time.time()
         self.events: queue.Queue = queue.Queue()
         self.lock = threading.Lock()  # serializes request processing
         self.backend = backend
@@ -220,9 +207,7 @@ class McpServer:
                 raise ValueError("native backend needs a registry")
             self._make_backend = lambda: NativeBackend(registry)
         else:
-            self._make_backend = lambda: LayeredBackend(
-                config.rest_base_url, config.fresh_rest_connection_per_call
-            )
+            self._make_backend = lambda: LayeredBackend(config.rest_base_url)
         self.sessions: dict[str, McpSession] = {}
         self._sessions_lock = threading.Lock()
         handler = _make_handler(self)

@@ -78,11 +78,8 @@ def _unwrap(exc: WorkFailedError) -> ApiError:
 
 
 class Registry:
-    def __init__(self, store: GraphStore | None = None, per_query_locking: bool = False):
+    def __init__(self, store: GraphStore | None = None):
         self.store = store if store is not None else GraphStore()
-        # per_query_locking re-acquires the read lock for each of the five
-        # retrieval queries instead of holding one session across them.
-        self.per_query_locking = per_query_locking
 
     # --- ingest ---
 
@@ -143,67 +140,63 @@ class Registry:
     # --- retrieval ---
 
     def retrieve_model_card(self, mc_id: str) -> AggregatedCard:
-        """Five-query aggregation; per-query wall time covers the query plus
+        """Five-query aggregation under one read session, so the five queries
+        see one state of the store; per-query wall time covers the query plus
         result materialization, never serialization."""
-        if self.per_query_locking:
-            return self._retrieve(mc_id)
         with self.store.read_session():
-            return self._retrieve(mc_id)
+            timings: list[tuple[str, float]] = []
 
-    def _retrieve(self, mc_id: str) -> AggregatedCard:
-        timings: list[tuple[str, float]] = []
+            def timed(name, fn):
+                start = time.perf_counter_ns()
+                value = fn()
+                timings.append((name, (time.perf_counter_ns() - start) / 1e6))
+                return value
 
-        def timed(name, fn):
-            start = time.perf_counter_ns()
-            value = fn()
-            timings.append((name, (time.perf_counter_ns() - start) / 1e6))
-            return value
+            def base_query():
+                found = self.store.find_nodes("ModelCard", {"external_id": mc_id})
+                if not found:
+                    raise NotFoundError(f"no model card {mc_id!r}")
+                return wire.project_node(found[0], wire.MODEL_CARD_FIELDS), found[0].id
 
-        def base_query():
-            found = self.store.find_nodes("ModelCard", {"external_id": mc_id})
-            if not found:
-                raise NotFoundError(f"no model card {mc_id!r}")
-            return wire.project_node(found[0], wire.MODEL_CARD_FIELDS), found[0].id
+            card_map, card_node = timed("model_card", base_query)
 
-        card_map, card_node = timed("model_card", base_query)
+            def model_query():
+                pairs = self.store.neighbors(card_node, "out", "HAS_MODEL")
+                if not pairs:
+                    raise NotFoundError(f"card {mc_id!r} has no model node")
+                record = pairs[0][1]
+                return wire.project_node(record, wire.MODEL_FIELDS), record.id
 
-        def model_query():
-            pairs = self.store.neighbors(card_node, "out", "HAS_MODEL")
-            if not pairs:
-                raise NotFoundError(f"card {mc_id!r} has no model node")
-            record = pairs[0][1]
-            return wire.project_node(record, wire.MODEL_FIELDS), record.id
+            model_map, model_node = timed("model", model_query)
 
-        model_map, model_node = timed("model", model_query)
+            def analysis_query(rel_type: str, order: tuple[str, ...]):
+                pairs = self.store.neighbors(card_node, "out", rel_type)
+                return wire.project_node(pairs[0][1], order) if pairs else None
 
-        def analysis_query(rel_type: str, order: tuple[str, ...]):
-            pairs = self.store.neighbors(card_node, "out", rel_type)
-            return wire.project_node(pairs[0][1], order) if pairs else None
-
-        bias_map = timed(
-            "bias_analysis", lambda: analysis_query("HAS_BIAS_ANALYSIS", wire.BIAS_FIELDS)
-        )
-        xai_map = timed(
-            "xai_analysis", lambda: analysis_query("HAS_XAI_ANALYSIS", wire.XAI_FIELDS)
-        )
-
-        def deployments_query():
-            pairs = self.store.neighbors(model_node, "out", "HAS_DEPLOYMENT")
-            records = [rec for _, rec in pairs]
-            records.sort(
-                key=lambda r: (r.properties["start_time"], r.properties["deployment_id"])
+            bias_map = timed(
+                "bias_analysis", lambda: analysis_query("HAS_BIAS_ANALYSIS", wire.BIAS_FIELDS)
             )
-            return [wire.project_node(rec, wire.DEPLOYMENT_FIELDS) for rec in records]
+            xai_map = timed(
+                "xai_analysis", lambda: analysis_query("HAS_XAI_ANALYSIS", wire.XAI_FIELDS)
+            )
 
-        deployments = timed("deployments", deployments_query)
-        return AggregatedCard(
-            model_card=card_map,
-            ai_model=model_map,
-            bias_analysis=bias_map,
-            xai_analysis=xai_map,
-            deployments=deployments,
-            query_timings=timings,
-        )
+            def deployments_query():
+                pairs = self.store.neighbors(model_node, "out", "HAS_DEPLOYMENT")
+                records = [rec for _, rec in pairs]
+                records.sort(
+                    key=lambda r: (r.properties["start_time"], r.properties["deployment_id"])
+                )
+                return [wire.project_node(rec, wire.DEPLOYMENT_FIELDS) for rec in records]
+
+            deployments = timed("deployments", deployments_query)
+            return AggregatedCard(
+                model_card=card_map,
+                ai_model=model_map,
+                bias_analysis=bias_map,
+                xai_analysis=xai_map,
+                deployments=deployments,
+                query_timings=timings,
+            )
 
     # --- search ---
 
@@ -308,42 +301,6 @@ class Registry:
             model.get("container_image_location"),
             base_url,
         )
-
-    # --- selection ---
-
-    def select_best_model(
-        self, query_text: str, max_mean_latency_ms: float
-    ) -> SearchHit | None:
-        """Highest test accuracy among matches whose most recent deployment
-        meets the latency bound; cards without deployments are excluded."""
-        if max_mean_latency_ms <= 0:
-            raise ValueError("latency bound must be > 0")
-        matches = self.search_model_cards(query_text, limit=SEARCH_LIMIT_CAP)
-        best: tuple[float, str] | None = None
-        best_hit: SearchHit | None = None
-        for hit in matches:
-            try:
-                model = self._card_model(hit.mc_id)
-            except NotFoundError:
-                continue
-            deployments = [
-                rec for _, rec in self.store.neighbors(model.id, "out", "HAS_DEPLOYMENT")
-            ]
-            if not deployments:
-                continue
-            latest = max(
-                deployments,
-                key=lambda r: (r.properties["start_time"], r.properties["deployment_id"]),
-            )
-            if latest.properties["mean_latency_ms"] > max_mean_latency_ms:
-                continue
-            accuracy = model.properties["test_accuracy"]
-            # argmax accuracy, ties broken by ascending rendered id
-            key = (-accuracy, hit.mc_id)
-            if best is None or key < best:
-                best = key
-                best_hit = hit
-        return best_hit
 
     # --- plumbing for the frontends ---
 

@@ -50,22 +50,6 @@ class QuietThreadingHTTPServer(ThreadingHTTPServer):
             return
         super().handle_error(request, client_address)
 
-_STATUS_BY_CODE = {
-    "NOT_FOUND": 404,
-    "NODE_NOT_FOUND": 404,
-    "DUPLICATE_CARD": 409,
-    "DUPLICATE_EDGE": 409,
-    "DUPLICATE_EXPERIMENT": 409,
-    "SCHEMA_VIOLATION": 400,
-    "MALFORMED_JSON": 400,
-    "ID_MISMATCH": 400,
-    "EMPTY_QUERY": 400,
-    "EMPTY_COMPONENT": 400,
-    "NO_SCHEMA_LABEL": 400,
-    "AMBIGUOUS": 400,
-    "INVALID_PROPERTY": 400,
-}
-
 
 @dataclass
 class RestConfig:
@@ -204,10 +188,6 @@ def _make_handler(server: RestServer):
             self._reply(status, wire.dump_bytes(obj), "application/json",
                         extra_headers, head_only)
 
-        def _reply_error(self, exc: ApiError):
-            status = _STATUS_BY_CODE.get(exc.code, 500)
-            self._reply_json(status, exc.to_body())
-
         def _stash_body(self) -> bool:
             """Read the request body before any reply so keep-alive framing
             survives early error responses. False means a reply went out."""
@@ -267,7 +247,7 @@ def _make_handler(server: RestServer):
                     return self._deployment(parts[1])
                 self._reply_json(404, {"error": "NOT_FOUND", "detail": f"no route {method} {path}"})
             except ApiError as exc:
-                self._reply_error(exc)
+                self._reply_json(exc.status, exc.to_body())
             except (BrokenPipeError, ConnectionResetError):
                 self.close_connection = True
             except Exception as exc:  # pragma: no cover - defensive

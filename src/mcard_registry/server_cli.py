@@ -1,12 +1,20 @@
 """mcard-server CLI: run the REST frontend, either MCP variant, or all three
-at once for benchmarking."""
+at once for benchmarking.
+
+With ``--snapshot FILE`` the store is loaded from FILE at startup (when it
+exists) and saved back to it, atomically, once the servers have stopped on
+SIGINT or SIGTERM.
+"""
 
 from __future__ import annotations
 
 import argparse
 import os
+import signal
+import sys
 import time
 
+from .errors import FileIoError
 from .graphstore import GraphStore
 from .mcpserver import McpConfig, McpServer
 from .registry import Registry
@@ -25,7 +33,7 @@ def _registry(args) -> Registry:
               f"{store.node_count()} nodes, {store.edge_count()} edges")
     else:
         store = GraphStore()
-    return Registry(store, per_query_locking=args.per_query_locking)
+    return Registry(store)
 
 
 def _cmd_rest(args) -> int:
@@ -36,7 +44,7 @@ def _cmd_rest(args) -> int:
         bearer_token=args.bearer_token, max_body_bytes=args.max_body_bytes,
     )).start()
     print(f"REST server on {server.base_url}")
-    return _wait(lambda: server.stop())
+    return _wait(server.stop, registry, args.snapshot)
 
 
 def _cmd_mcp(args) -> int:
@@ -44,12 +52,11 @@ def _cmd_mcp(args) -> int:
     config = McpConfig(
         host=host, port=port, backend=args.backend, rest_base_url=args.rest_base,
         session_cap=args.session_cap, heartbeat_seconds=args.heartbeat_seconds,
-        fresh_rest_connection_per_call=args.fresh_rest_connections,
     )
     registry = _registry(args) if args.backend == "native" else None
     server = McpServer(config, registry).start()
     print(f"{args.backend} MCP server on http://{host}:{server.port} (SSE at /sse)")
-    return _wait(lambda: server.stop())
+    return _wait(server.stop, registry, args.snapshot)
 
 
 def _cmd_all(args) -> int:
@@ -68,15 +75,24 @@ def _cmd_all(args) -> int:
         native.stop()
         rest.stop()
 
-    return _wait(stop)
+    return _wait(stop, registry, args.snapshot)
 
 
-def _wait(stop) -> int:
+def _wait(stop, registry: Registry | None, snapshot: str | None) -> int:
+    """Serve until SIGINT or SIGTERM, stop the servers, then save the store."""
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:
         stop()
+    if registry is not None and snapshot:
+        try:
+            registry.store.snapshot_save(snapshot)
+        except FileIoError as exc:
+            print(f"snapshot not saved: {exc.detail}", file=sys.stderr)
+            return 1
+        print(f"saved snapshot {snapshot}")
     return 0
 
 
@@ -91,8 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     rest.add_argument("--bearer-token", default=os.environ.get("BEARER_TOKEN"))
     rest.add_argument("--max-body-bytes", type=int,
                       default=int(os.environ.get("MAX_BODY_BYTES", 64 * 1024 * 1024)))
-    rest.add_argument("--snapshot", help="graph snapshot to load at startup")
-    rest.add_argument("--per-query-locking", action="store_true")
+    rest.add_argument("--snapshot", help="graph snapshot to load at startup and save on exit")
     rest.set_defaults(func=_cmd_rest)
 
     mcp = sub.add_parser("mcp", help="MCP frontend (native or layered)")
@@ -101,10 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     mcp.add_argument("--rest-base", help="REST base URL (layered backend)")
     mcp.add_argument("--session-cap", type=int, default=256)
     mcp.add_argument("--heartbeat-seconds", type=float, default=15.0)
-    mcp.add_argument("--fresh-rest-connections", action="store_true",
-                     help="layered: dial REST per call instead of keep-alive")
     mcp.add_argument("--snapshot")
-    mcp.add_argument("--per-query-locking", action="store_true")
     mcp.set_defaults(func=_cmd_mcp)
 
     both = sub.add_parser("all", help="REST + native MCP + layered MCP on one store")
@@ -113,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     both.add_argument("--native-port", type=int, default=8081)
     both.add_argument("--layered-port", type=int, default=8082)
     both.add_argument("--snapshot")
-    both.add_argument("--per-query-locking", action="store_true")
     both.set_defaults(func=_cmd_all)
     return parser
 

@@ -250,14 +250,6 @@ class WanProxy:
                 self._connections.remove((client, upstream))
 
 
-def start_proxy(listen_addr, upstream_addr, profile: WanProfile | None = None) -> WanProxy:
-    return WanProxy(listen_addr, upstream_addr, profile).start()
-
-
-def stop_proxy(proxy: WanProxy) -> None:
-    proxy.stop()
-
-
 def _parse_addr(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
     return host or "127.0.0.1", int(port)
@@ -275,7 +267,7 @@ def main(argv=None) -> int:
                         help="per-direction bandwidth cap in bytes/s")
     args = parser.parse_args(argv)
     profile = WanProfile(args.delay_ms, args.bandwidth_bps, name="cli")
-    proxy = start_proxy(_parse_addr(args.listen), _parse_addr(args.upstream), profile)
+    proxy = WanProxy(_parse_addr(args.listen), _parse_addr(args.upstream), profile).start()
     print(f"wanproxy: {args.listen} -> {args.upstream} "
           f"delay {args.delay_ms} ms bandwidth {args.bandwidth_bps or 'unlimited'}")
     try:

@@ -29,7 +29,7 @@ from mcard_registry.errors import (
 from mcard_registry.mcpserver import McpConfig, McpServer
 from mcard_registry.registry import Registry
 from mcard_registry.rest import RestConfig, RestServer
-from mcard_registry.wanproxy import WanProfile, start_proxy
+from mcard_registry.wanproxy import WanProfile, WanProxy
 
 import conftest
 from conftest import card_dict, deployment_dict, ingest_dict, random_card_dict
@@ -85,9 +85,9 @@ def realworld_stack(tmp_path_factory):
     corpus = tmp_path_factory.mktemp("realworld_corpus")
     stack = _build_stack("realworld", 42, corpus)
     proxies = {
-        target: start_proxy(("127.0.0.1", 0),
-                            ("127.0.0.1", int(stack.endpoint(target).split(":")[1])),
-                            WanProfile(one_way_delay_ms=30.0))
+        target: WanProxy(("127.0.0.1", 0),
+                         ("127.0.0.1", int(stack.endpoint(target).split(":")[1])),
+                         WanProfile(one_way_delay_ms=30.0)).start()
         for target in ("rest", "native_mcp", "layered_mcp")
     }
     yield stack, proxies, corpus

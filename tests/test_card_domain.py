@@ -161,6 +161,9 @@ def test_round_trip_over_generated_corpus():
 # as TypeError / OverflowError (a 500 over HTTP) and now get a schema error;
 # rows marked CHANGED are non-list top_features that used to be iterated
 # (a string per character, an object per key) and are now rejected whole.
+# Rows commented "accepted" pin string fields that used to take any JSON
+# value (as str(value), or "" for analysis notes) and now want a string;
+# they keep their ids so the suite names the same tests before and after.
 
 DELETE = object()
 BIG = 10 ** 400  # an integer no float can hold
@@ -242,7 +245,7 @@ def _deployment_faults(prefix):
              (key, "NEW-too-big", BIG, _sv(prefix + key, "must be finite"))]
     rows += [("notes", "missing", DELETE, None),
              ("notes", "null", None, None),
-             ("notes", "wrong-type", 5, _sv(prefix + "notes", "must be a string"))]
+             ("notes", "wrong-type", 5, _sv(prefix + "notes", "expected str"))]
     return rows
 
 
@@ -259,8 +262,10 @@ def _card_rows():
              (("keywords",), "wrong-type", "wildlife", _sv("keywords", "expected list")),
              (("keywords",), "not-strings", ["a", 1], _sv("keywords", "must be a list of strings")),
              (("keywords",), "blank", [], None)]
-    rows += [(("documentation_format_version",), "missing", DELETE, None),
-             (("documentation_format_version",), "number", 2, None)]
+    path = "documentation_format_version"
+    rows += [((path,), "missing", DELETE, None),
+             ((path,), "number", 2, _sv(path, "expected str")),  # was accepted as "2"
+             ((path,), "null", None, _sv(path, "expected str"))]
     rows += [(("ai_model",), "missing", DELETE, _sv("ai_model", "missing required field")),
              (("ai_model",), "wrong-type", "x", _sv("ai_model", "must be an object")),
              (("ai_model",), "null", None, _sv("ai_model", "must be an object"))]
@@ -294,9 +299,11 @@ def _card_rows():
         rows += [(("bias_analysis", key), *row) for row in _number_faults("bias_analysis." + key)]
     rows += [(("bias_analysis", "demographic_parity"), "negative", -5, None)]
     for parent in ("bias_analysis", "xai_analysis"):
+        path = parent + ".notes"
         rows += [((parent, "notes"), "missing", DELETE, None),
-                 ((parent, "notes"), "null", None, None),
-                 ((parent, "notes"), "wrong-type", 5, None)]
+                 # both were accepted as ""
+                 ((parent, "notes"), "null", None, _sv(path, "expected str")),
+                 ((parent, "notes"), "wrong-type", 5, _sv(path, "expected str"))]
     rows += [(("xai_analysis",), "missing", DELETE, None),
              (("xai_analysis",), "wrong-type", [], _sv("xai_analysis", "must be an object"))]
     rows += [(("xai_analysis", "method"), *row) for row in _name_faults("xai_analysis.method")]
@@ -319,7 +326,10 @@ def _card_rows():
                  ("bool", False, _sv(path, "expected a number")),
                  ("nan", float("nan"), _sv(path, "must be finite")),
                  ("NEW-too-big", BIG, _sv(path, "must be finite"))]]
-    rows += [(("xai_analysis", "top_features", 0, "name"), "number", 7, None)]
+    path = "xai_analysis.top_features[0].name"
+    rows += [(("xai_analysis", "top_features", 0, "name"), "number", 7,
+              _sv(path, "expected str")),  # was accepted as "7"
+             (("xai_analysis", "top_features", 0, "name"), "null", None, _sv(path, "expected str"))]
     rows += [(("deployments",), "missing", DELETE, None),
              (("deployments",), "wrong-type", "x", _sv("deployments", "must be a list")),
              (("deployments",), "null", None, _sv("deployments", "must be a list")),
@@ -387,10 +397,12 @@ def test_fault_table_covers_every_field():
 
 
 def test_accepted_faults_parse_to_the_documented_value():
-    card = _with(_full_card(), ("documentation_format_version",), 2)
-    assert parse_model_card(json.dumps(card)).documentation_format_version == "2"
-    card = _with(_full_card(), ("bias_analysis", "notes"), 5)
+    card = _with(_full_card(), ("documentation_format_version",), DELETE)
+    assert parse_model_card(json.dumps(card)).documentation_format_version == "1.0"
+    card = _with(_full_card(), ("bias_analysis", "notes"), DELETE)
     assert parse_model_card(json.dumps(card)).bias_analysis.notes == ""
+    card = _with(_full_card(), ("deployments", 0, "notes"), None)
+    assert parse_model_card(json.dumps(card)).deployments[0].notes is None
 
 
 # --- relationship inference ---

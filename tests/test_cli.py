@@ -6,11 +6,15 @@ import sys
 import time
 
 import pytest
+import requests
 
 from mcard_registry.bench.cli import main as bench_main
+from mcard_registry.graphstore import GraphStore
 from mcard_registry.mcpserver import McpConfig, McpServer
 from mcard_registry.registry import Registry
 from mcard_registry.rest import RestConfig, RestServer
+
+from conftest import card_dict
 
 
 @pytest.fixture
@@ -101,7 +105,9 @@ def test_wanproxy_cli_requires_args():
         wanproxy_main([])
 
 
-def test_server_cli_all_subprocess(tmp_path):
+def _start_all(*extra_args):
+    """Start ``mcard-server all`` on free ports; returns the process and the
+    REST base URL once REST answers /health."""
     ports = []
     for _ in range(3):
         probe = socket.create_server(("127.0.0.1", 0))
@@ -110,28 +116,57 @@ def test_server_cli_all_subprocess(tmp_path):
     proc = subprocess.Popen(
         [sys.executable, "-m", "mcard_registry.server_cli", "all",
          "--rest-port", str(ports[0]), "--native-port", str(ports[1]),
-         "--layered-port", str(ports[2])],
+         "--layered-port", str(ports[2]), *extra_args],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )
-    try:
-        deadline = time.time() + 10
-        ready = False
-        while time.time() < deadline:
-            try:
-                import requests
-                resp = requests.get(f"http://127.0.0.1:{ports[0]}/health", timeout=1)
-                if resp.status_code == 200:
-                    ready = True
-                    break
-            except Exception:
-                time.sleep(0.2)
-        assert ready, "REST server did not come up"
-    finally:
-        proc.send_signal(signal.SIGINT)
+    base = f"http://127.0.0.1:{ports[0]}"
+    deadline = time.time() + 10
+    while time.time() < deadline:
         try:
-            proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            proc.kill()
+            if requests.get(f"{base}/health", timeout=1).status_code == 200:
+                return proc, base
+        except requests.RequestException:
+            time.sleep(0.2)
+    proc.kill()
+    proc.communicate()
+    pytest.fail("REST server did not come up")
+
+
+def _stop(proc, sig) -> int:
+    proc.send_signal(sig)
+    try:
+        return proc.wait(timeout=10)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        raise
+    finally:
+        proc.communicate()
+
+
+def test_server_cli_all_subprocess():
+    proc, _ = _start_all()
+    assert _stop(proc, signal.SIGINT) == 0
+
+
+def test_server_cli_saves_snapshot_on_sigterm(tmp_path):
+    snapshot = tmp_path / "store.jsonl"
+    proc, base = _start_all("--snapshot", str(snapshot))
+    try:
+        resp = requests.post(f"{base}/modelcard", json=card_dict(), timeout=10)
+        assert resp.status_code == 201
+        mc_id = resp.json()["mc_id"]
+    finally:
+        code = _stop(proc, signal.SIGTERM)
+    assert code == 0
+    store = GraphStore.snapshot_load(str(snapshot))
+    assert [n.properties["external_id"] for n in store.find_nodes("ModelCard")] == [mc_id]
+
+    proc, base = _start_all("--snapshot", str(snapshot))
+    try:
+        assert requests.get(f"{base}/modelcard/{mc_id}", timeout=10).status_code == 200
+    finally:
+        code = _stop(proc, signal.SIGTERM)
+    assert code == 0
 
 
 def test_all_help_screens_render():

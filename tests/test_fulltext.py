@@ -264,17 +264,16 @@ def test_ranked_cache_follows_new_documents_across_snapshot_load(tmp_path):
     for text in ("camera trap", "trap trap", "speech model", "camera"):
         store.create_node(["ModelCard"], {"name": text})
     queries = ["camera", "trap camera", "model speech trap"]
-    before = {q: store.fulltext_query(q, 10) for q in queries}
+    before = {q: store._index.query(q, 10) for q in queries}
     path = str(tmp_path / "snap.jsonl")
     store.snapshot_save(path)
     loaded = GraphStore.snapshot_load(path)
-    assert {q: loaded.fulltext_query(q, 10) for q in queries} == before
+    assert {q: loaded._index.query(q, 10) for q in queries} == before
     for text in ("camera camera", "wildlife trap", "model"):
         loaded.create_node(["ModelCard"], {"name": text})
         fresh = GraphStore.from_snapshot_bytes(loaded.snapshot_bytes())
         for q in queries:
-            assert _exact([(e.ordinal, s) for e, s in loaded.fulltext_query(q, 10)]) == \
-                _exact([(e.ordinal, s) for e, s in fresh.fulltext_query(q, 10)])
+            assert _exact(loaded._index.query(q, 10)) == _exact(fresh._index.query(q, 10))
 
 
 def test_readers_query_while_cards_are_ingested():
@@ -335,6 +334,6 @@ def test_search_digest_at_2000_cards_matches_exhaustive_scorer():
     digest = hashlib.sha256()
     for _ in range(300):
         query = " ".join(rng.sample(vocabulary, 2))
-        for element_id, score in registry.store.fulltext_query(query, 10):
-            digest.update(f"{element_id.ordinal} {score.hex()}\n".encode())
+        for ordinal, score in registry.store._index.query(query, 10):
+            digest.update(f"{ordinal} {score.hex()}\n".encode())
     assert digest.hexdigest() == SEARCH_DIGEST_2K

@@ -155,7 +155,7 @@ def test_snapshot_round_trip_preserves_everything(tmp_path):
     assert loaded.node_count() == store.node_count()
     assert loaded.edge_count() == store.edge_count()
     assert [str(n.id) for n in loaded.iter_nodes()] == [str(n.id) for n in store.iter_nodes()]
-    assert loaded.fulltext_query("camera", 10) == store.fulltext_query("camera", 10)
+    assert loaded._index.query("camera", 10) == store._index.query("camera", 10)
     # next-id counters restored: new allocations continue, never reuse
     fresh = loaded.create_node({"A"}, {})
     assert fresh.ordinal == 3
@@ -327,8 +327,8 @@ def test_index_graph_consistency():
         ids[ext] = nid
     for ext, desc in texts:
         for term in tokenize(desc):
-            hits = store.fulltext_query(term, store.node_count())
-            assert ids[ext] in [h[0] for h in hits], (term, ext)
+            hits = store._index.query(term, store.node_count())
+            assert ids[ext].ordinal in [ordinal for ordinal, _ in hits], (term, ext)
 
 
 def test_transaction_handle_states():

@@ -519,24 +519,24 @@ def test_server_shutdown_closes_sessions():
     client.close()
 
 
-def test_layered_fresh_connection_per_call():
-    registry = Registry()
-    rest = RestServer(registry, RestConfig()).start()
-    mcp = McpServer(McpConfig(backend="layered", rest_base_url=rest.base_url,
-                              fresh_rest_connection_per_call=True,
-                              heartbeat_seconds=0.2)).start()
+def test_layered_redials_when_rest_drops_the_kept_alive_connection(layered_stack):
+    mcp, rest, registry = layered_stack
+    _seed(registry)
+    # REST closes a kept-alive connection after 0.2 s without a request
+    rest._httpd.RequestHandlerClass.timeout = 0.2
     client = _open(mcp)
     try:
-        _seed(registry)
         for _ in range(3):
+            log_before = len(rest.access_log)
             _, text, is_error = client.call_tool(
                 "search_model_cards", {"query": "classifier"})
             assert is_error is False
             assert json.loads(text)
+            # the attempt on the dropped connection never reached REST
+            assert len(rest.access_log) - log_before == 1
+            time.sleep(0.6)
     finally:
         client.close()
-        mcp.stop()
-        rest.stop()
 
 
 def test_mcp_unknown_get_path_is_404(native):

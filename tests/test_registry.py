@@ -155,16 +155,6 @@ def test_retrieve_oracle_equivalence_over_seeded_corpus():
         assert aggregated_as_plain(agg) == traversal_oracle(registry.store, mc_id), mc_id
 
 
-def test_retrieve_per_query_locking_mode_equivalent():
-    single = Registry()
-    per_query = Registry(per_query_locking=True)
-    for reg in (single, per_query):
-        ingest_dict(reg, card_dict(deployments=[deployment_dict(0)]))
-    a = aggregated_as_plain(single.retrieve_model_card("jdoe-resnet-1.0"))
-    b = aggregated_as_plain(per_query.retrieve_model_card("jdoe-resnet-1.0"))
-    assert a == b
-
-
 def test_deployments_ordered_by_start_time_then_id(registry):
     deps = [
         deployment_dict(2, start_time="2024-06-01T00:00:00Z", end_time=None),
@@ -426,83 +416,6 @@ def test_get_linkset(registry):
 def test_get_linkset_unknown(registry):
     with pytest.raises(NotFoundError):
         registry.get_linkset("no-card-0", "http://srv:1234")
-
-
-# --- selection ---
-
-def _selection_corpus(registry):
-    fast = card_dict(author="ann", name="fastnet", version="1",
-                     external_id="ann-fastnet-1",
-                     short_description="wildlife detector",
-                     deployments=[deployment_dict(0, mean_latency_ms=20.0)])
-    fast["ai_model"]["test_accuracy"] = 0.8
-    slow = card_dict(author="bob", name="bignet", version="1",
-                     external_id="bob-bignet-1",
-                     short_description="wildlife detector deluxe",
-                     deployments=[deployment_dict(1, mean_latency_ms=400.0)])
-    slow["ai_model"]["test_accuracy"] = 0.9
-    bare = card_dict(author="cee", name="nodep", version="1",
-                     external_id="cee-nodep-1",
-                     short_description="wildlife detector prototype")
-    bare["ai_model"]["test_accuracy"] = 0.99
-    for card in (fast, slow, bare):
-        ingest_dict(registry, card)
-
-
-def test_select_best_under_generous_bound(registry):
-    _selection_corpus(registry)
-    hit = registry.select_best_model("wildlife detector", 1000.0)
-    assert hit.mc_id == "bob-bignet-1"  # 0.9 beats 0.8; no-deployment card excluded
-
-
-def test_select_filters_by_latency_then_argmax(registry):
-    _selection_corpus(registry)
-    hit = registry.select_best_model("wildlife detector", 100.0)
-    assert hit.mc_id == "ann-fastnet-1"
-
-
-def test_select_no_candidate(registry):
-    _selection_corpus(registry)
-    assert registry.select_best_model("wildlife detector", 1.0) is None
-
-
-def test_select_uses_most_recent_deployment(registry):
-    card = card_dict(deployments=[
-        deployment_dict(0, start_time="2024-01-01T00:00:00Z", end_time=None, mean_latency_ms=10.0),
-        deployment_dict(1, start_time="2024-06-01T00:00:00Z", end_time=None, mean_latency_ms=500.0),
-    ])
-    ingest_dict(registry, card)
-    # the most recent deployment violates the bound, so the card is out
-    assert registry.select_best_model("camera trap", 100.0) is None
-
-
-def test_select_invariant_under_result_reordering(registry, monkeypatch):
-    _selection_corpus(registry)
-    original = Registry.search_model_cards
-
-    def reversed_search(self, q, limit=10):
-        return list(reversed(original(self, q, limit)))
-
-    monkeypatch.setattr(Registry, "search_model_cards", reversed_search)
-    hit = registry.select_best_model("wildlife detector", 1000.0)
-    assert hit.mc_id == "bob-bignet-1"
-
-
-def test_select_invalid_bound(registry):
-    with pytest.raises(ValueError):
-        registry.select_best_model("anything", 0.0)
-
-
-def test_select_tie_breaks_by_ascending_mc_id(registry):
-    for author in ("zed", "abe"):
-        card = card_dict(author=author, name="twin", version="1",
-                         external_id=f"{author}-twin-1",
-                         short_description="wildlife detector twin",
-                         deployments=[deployment_dict(0, mean_latency_ms=10.0)])
-        card["ai_model"]["test_accuracy"] = 0.9
-        ingest_dict(registry, card)
-    hit = registry.select_best_model("wildlife detector twin", 100.0)
-    assert hit.mc_id == "abe-twin-1"
 
 
 def test_search_limit_caps_at_100(registry):

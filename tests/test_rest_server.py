@@ -1,10 +1,14 @@
+import importlib
 import json
+import pkgutil
 
 import pytest
 import requests
 import requests.utils
 
+import mcard_registry
 from mcard_registry import rest
+from mcard_registry.errors import ApiError
 from mcard_registry.registry import Registry
 from mcard_registry.rest import RestConfig, RestServer
 
@@ -435,3 +439,50 @@ def test_bearer_token_enforced():
 def test_rest_config_enforces_min_body_size():
     with pytest.raises(ValueError):
         RestConfig(max_body_bytes=1024)
+
+
+# --- error statuses ---
+
+# The status REST answered each error code with before every error class
+# carried its own: these codes, and 500 for any other.
+STATUS_BY_CODE = {
+    "NOT_FOUND": 404,
+    "NODE_NOT_FOUND": 404,
+    "DUPLICATE_CARD": 409,
+    "DUPLICATE_EDGE": 409,
+    "DUPLICATE_EXPERIMENT": 409,
+    "SCHEMA_VIOLATION": 400,
+    "MALFORMED_JSON": 400,
+    "ID_MISMATCH": 400,
+    "EMPTY_QUERY": 400,
+    "EMPTY_COMPONENT": 400,
+    "NO_SCHEMA_LABEL": 400,
+    "AMBIGUOUS": 400,
+    "INVALID_PROPERTY": 400,
+}
+
+
+def _error_classes() -> list[type]:
+    """ApiError and every subclass of it, in any module of the package."""
+    for module in pkgutil.walk_packages(mcard_registry.__path__, "mcard_registry."):
+        importlib.import_module(module.name)
+    found, stack = [], [ApiError]
+    while stack:
+        cls = stack.pop()
+        found.append(cls)
+        stack.extend(cls.__subclasses__())
+    return found
+
+
+ERROR_CLASSES = _error_classes()
+
+
+def test_error_classes_include_those_outside_errors_module():
+    names = {cls.__name__ for cls in ERROR_CLASSES}
+    assert {"BindFailedError", "TargetUnreachableError", "WorkFailedError"} <= names
+    assert {cls.code for cls in ERROR_CLASSES} >= set(STATUS_BY_CODE)
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_error_class_carries_its_rest_status(cls):
+    assert cls.status == STATUS_BY_CODE.get(cls.code, 500)

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from mcard_registry.wanproxy import BindFailedError, WanProfile, WanProxy, start_proxy, stop_proxy
+from mcard_registry.wanproxy import BindFailedError, WanProfile, WanProxy
 
 
 class EchoServer:
@@ -54,8 +54,7 @@ def echo():
 
 
 def _proxied(echo, profile):
-    proxy = start_proxy(("127.0.0.1", 0), ("127.0.0.1", echo.port), profile)
-    return proxy
+    return WanProxy(("127.0.0.1", 0), ("127.0.0.1", echo.port), profile).start()
 
 
 def _connect(port):
@@ -96,7 +95,7 @@ def test_zero_delay_rtt_close_to_direct(echo):
         via.close()
         assert proxied_ms <= direct_ms + 2.0
     finally:
-        stop_proxy(proxy)
+        proxy.stop()
 
 
 def test_delay_25ms_costs_two_round_trips_for_connect_plus_exchange(echo):
@@ -111,7 +110,7 @@ def test_delay_25ms_costs_two_round_trips_for_connect_plus_exchange(echo):
         # connect (2 x 25) + request/response (2 x 25)
         assert elapsed_ms >= 100.0
     finally:
-        stop_proxy(proxy)
+        proxy.stop()
 
 
 def test_per_chunk_delay_floor_in_steady_state(echo):
@@ -128,7 +127,7 @@ def test_per_chunk_delay_floor_in_steady_state(echo):
             assert elapsed_ms >= 2 * delay_ms  # one delay each way
         sock.close()
     finally:
-        stop_proxy(proxy)
+        proxy.stop()
 
 
 def test_payload_transparency_hashes(echo):
@@ -142,7 +141,7 @@ def test_payload_transparency_hashes(echo):
             assert hashlib.sha256(reply).hexdigest() == hashlib.sha256(payload).hexdigest()
         sock.close()
     finally:
-        stop_proxy(proxy)
+        proxy.stop()
 
 
 def test_large_transfer_is_pipelined_not_serialized(echo):
@@ -159,7 +158,7 @@ def test_large_transfer_is_pipelined_not_serialized(echo):
         assert elapsed < 1.5
         sock.close()
     finally:
-        stop_proxy(proxy)
+        proxy.stop()
 
 
 def test_bandwidth_cap_floor(echo):
@@ -176,7 +175,7 @@ def test_bandwidth_cap_floor(echo):
         assert elapsed >= len(payload) / rate  # bucket starts empty: >= 3 s
         sock.close()
     finally:
-        stop_proxy(proxy)
+        proxy.stop()
 
 
 def test_round_trip_counter(echo):
@@ -191,14 +190,14 @@ def test_round_trip_counter(echo):
         assert stats["connections"] == 1
         assert stats["round_trips"] == 1 + 3  # handshake + three exchanges
     finally:
-        stop_proxy(proxy)
+        proxy.stop()
 
 
 def test_stop_refuses_new_connections(echo):
     proxy = _proxied(echo, WanProfile(0.0))
     port = proxy.port
-    stop_proxy(proxy)
-    stop_proxy(proxy)  # idempotent
+    proxy.stop()
+    proxy.stop()  # idempotent
     with pytest.raises(OSError):
         socket.create_connection(("127.0.0.1", port), timeout=1)
 
@@ -207,7 +206,7 @@ def test_stop_aborts_in_flight_connection(echo):
     proxy = _proxied(echo, WanProfile(0.0))
     sock = _connect(proxy.port)
     _exchange(sock, b"hello")
-    stop_proxy(proxy)
+    proxy.stop()
     with pytest.raises(OSError):
         for _ in range(50):  # the reset may take a moment to surface
             sock.sendall(b"more")
@@ -220,16 +219,18 @@ def test_upstream_unreachable_resets_client():
     probe = socket.create_server(("127.0.0.1", 0))
     dead_port = probe.getsockname()[1]
     probe.close()
-    proxy = start_proxy(("127.0.0.1", 0), ("127.0.0.1", dead_port), WanProfile(0.0))
+    proxy = WanProxy(("127.0.0.1", 0), ("127.0.0.1", dead_port), WanProfile(0.0)).start()
     try:
-        sock = _connect(proxy.port)
-        with pytest.raises(OSError):
+        try:
+            sock = _connect(proxy.port)
+        except ConnectionResetError:
+            return  # the reset arrived before connect returned
+        with sock, pytest.raises(OSError):
             for _ in range(100):
                 sock.sendall(b"x")
                 time.sleep(0.02)
-        sock.close()
     finally:
-        stop_proxy(proxy)
+        proxy.stop()
 
 
 def test_bind_failed():
@@ -254,4 +255,4 @@ def test_teardown_propagates_to_upstream(echo):
         # the proxy notices the close and tears the pair down (stats keep history)
         assert proxy._connections == []
     finally:
-        stop_proxy(proxy)
+        proxy.stop()
