@@ -3,21 +3,27 @@
 Transport shape: ``GET /sse`` opens the event stream and announces
 ``event: endpoint`` with the session's message path; clients POST JSON-RPC
 messages to ``/messages?session_id=...`` and receive every response as an
-``event: message`` on their stream, correlated by request id. A comment
-heartbeat keeps idle streams alive. ``DELETE /messages?session_id=...``
-closes a session explicitly.
+``event: message`` on their stream, correlated by request id. The thread
+that handles a POST processes it, answers 202, then writes the reply onto
+the stream itself; one session's messages are processed one at a time, so
+replies arrive in request order. A comment heartbeat keeps idle streams
+alive. A stream write that fails, or waits ``SOCKET_TIMEOUT_S`` on a client
+that stops reading, closes the session; ``DELETE /messages?session_id=...``
+closes one explicitly. Connections share the REST frontend's worker pool,
+cap and idle timeout.
 
 Two backends expose the same surface (one resource, two tools): ``native``
 calls the registry in-process; ``layered`` forwards each call to a REST
 server and wraps the REST body verbatim, which is exactly the double
-serialization an adapter architecture pays.
+serialization an adapter architecture pays. Each server has one backend,
+shared by all its sessions.
 """
 
 from __future__ import annotations
 
 import http.client
-import queue
 import secrets
+import socket
 import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler
@@ -27,7 +33,13 @@ from . import wire
 from .cards import _loads
 from .errors import ApiError, NotFoundError
 from .registry import Registry
-from .rest import MAX_BODY_BYTES, QuietThreadingHTTPServer, read_request_body
+from .rest import (
+    CHUNK_SIZE,
+    MAX_BODY_BYTES,
+    SOCKET_TIMEOUT_S,
+    QuietThreadingHTTPServer,
+    read_request_body,
+)
 
 PROTOCOL_VERSION = "2024-11-05"
 SERVER_INFO = {"name": "mcard-mcp", "version": "0.1.0"}
@@ -126,8 +138,12 @@ class NativeBackend:
 
 
 class LayeredBackend:
-    """Adapter backend: one REST request per operation, body wrapped verbatim,
-    over one keep-alive connection per session."""
+    """Adapter backend: one REST request per operation, body wrapped verbatim.
+
+    All sessions share a lock-guarded stack of idle keep-alive connections:
+    a request takes the newest one, or dials when none is idle, and puts it
+    back once its response is read. A connection that REST has dropped is
+    redialled once; one that raises is closed, never put back."""
 
     def __init__(self, rest_base_url: str):
         split = urlsplit(rest_base_url)
@@ -135,7 +151,7 @@ class LayeredBackend:
             raise ValueError(f"rest_base_url must be http://host:port, got {rest_base_url!r}")
         self._host = split.hostname
         self._port = split.port or 80
-        self._conn: http.client.HTTPConnection | None = None
+        self._idle: list[http.client.HTTPConnection] = []
         self._lock = threading.Lock()
 
     def _request(self, method: str, path: str, body: bytes | None, auth: str | None):
@@ -145,22 +161,27 @@ class LayeredBackend:
         if body is not None:
             headers["Content-Type"] = "application/json"
         with self._lock:
-            for attempt in (0, 1):
-                if self._conn is None:
-                    self._conn = http.client.HTTPConnection(self._host, self._port, timeout=60)
-                try:
-                    self._conn.request(method, path, body=body, headers=headers)
-                    resp = self._conn.getresponse()
-                    payload = resp.read()
-                    status = resp.status
-                    break
-                except (http.client.RemoteDisconnected, BrokenPipeError, ConnectionResetError):
-                    # stale keep-alive connection: REST never saw the request
-                    self._conn.close()
-                    self._conn = None
-                    if attempt:
-                        raise
-        return status, payload
+            conn = self._idle.pop() if self._idle else None
+        for attempt in (0, 1):
+            if conn is None:
+                conn = http.client.HTTPConnection(self._host, self._port, timeout=60)
+            try:
+                conn.request(method, path, body=body, headers=headers)
+                resp = conn.getresponse()
+                payload = resp.read()
+                break
+            except (http.client.RemoteDisconnected, BrokenPipeError, ConnectionResetError):
+                # stale keep-alive connection: REST never saw the request
+                conn.close()
+                conn = None
+                if attempt:
+                    raise
+            except BaseException:
+                conn.close()
+                raise
+        with self._lock:
+            self._idle.append(conn)
+        return resp.status, payload
 
     def read_card(self, mc_id: str, auth: str | None) -> str:
         status, payload = self._request("GET", f"/modelcard/{quote(mc_id)}", None, auth)
@@ -182,21 +203,36 @@ class LayeredBackend:
 
     def close(self):
         with self._lock:
-            if self._conn is not None:
-                self._conn.close()
-                self._conn = None
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
 
 class McpSession:
-    def __init__(self, session_id: str, backend):
+    """One client's session. Replies go onto its SSE stream from the thread
+    that handled the request, one write at a time under ``write_lock``."""
+
+    def __init__(self, session_id: str, write_event):
         self.session_id = session_id
         self.state = "connected"  # -> initialized -> closed
-        self.events: queue.Queue = queue.Queue()
         self.lock = threading.Lock()  # serializes request processing
-        self.backend = backend
+        self.write_lock = threading.Lock()
+        self.ended = threading.Event()  # closed, or its stream failed
+        self._write_event = write_event  # the stream handler's event writer
 
     def emit(self, message: dict) -> None:
-        self.events.put(message)
+        self.write(self._write_event, "message", wire.dumps(message))
+
+    def write(self, fn, *args) -> None:
+        """Run one write onto the stream; one that fails or times out ends
+        the session, and later writes are dropped."""
+        with self.write_lock:
+            if self.ended.is_set():
+                return
+            try:
+                fn(*args)
+            except OSError:
+                self.ended.set()
 
 
 class McpServer:
@@ -205,9 +241,9 @@ class McpServer:
         if config.backend == "native":
             if registry is None:
                 raise ValueError("native backend needs a registry")
-            self._make_backend = lambda: NativeBackend(registry)
+            self.backend = NativeBackend(registry)
         else:
-            self._make_backend = lambda: LayeredBackend(config.rest_base_url)
+            self.backend = LayeredBackend(config.rest_base_url)
         self.sessions: dict[str, McpSession] = {}
         self._sessions_lock = threading.Lock()
         handler = _make_handler(self)
@@ -228,14 +264,15 @@ class McpServer:
             self.close_session(session_id)
         self._httpd.shutdown()
         self._httpd.server_close()
+        self.backend.close()
 
     # --- session management ---
 
-    def open_session(self) -> McpSession | None:
+    def open_session(self, write_event) -> McpSession | None:
         with self._sessions_lock:
             if len(self.sessions) >= self.config.session_cap:
                 return None
-            session = McpSession(secrets.token_hex(16), self._make_backend())
+            session = McpSession(secrets.token_hex(16), write_event)
             self.sessions[session.session_id] = session
             return session
 
@@ -249,29 +286,41 @@ class McpServer:
         if session is None:
             return
         session.state = "closed"
-        session.backend.close()
-        session.events.put(None)  # wakes the stream writer
+        session.ended.set()  # ends the stream
 
     # --- JSON-RPC dispatch ---
 
-    def handle_post_body(self, session: McpSession, raw: bytes, auth: str | None) -> None:
+    def handle_post_body(self, session: McpSession, raw: bytes, auth: str | None,
+                         accept) -> None:
+        """Process one POSTed message and write its reply onto the stream.
+
+        ``accept`` sends the POST's 202. It goes after processing, so a
+        message POSTed after that 202 is processed after this one, and
+        before the reply: a client may wait for its 202 before it reads the
+        stream, and a reply larger than the socket buffers would never drain.
+        """
         with session.lock:
+            response = self._respond(session, raw, auth)
             try:
-                message = _loads(raw)
-            except ValueError as exc:
-                session.emit(_error_response(None, PARSE_ERROR, f"parse error: {exc}"))
-                return
-            if not isinstance(message, dict) or message.get("jsonrpc") != "2.0" \
-                    or not isinstance(message.get("method"), str):
-                msg_id = message.get("id") if isinstance(message, dict) else None
-                session.emit(_error_response(msg_id, INVALID_REQUEST, "invalid request"))
-                return
-            msg_id = message.get("id")
-            if msg_id is None:
-                return  # notification: processed silently, never answered
-            response = self._dispatch(session, msg_id, message["method"],
-                                      message.get("params") or {}, auth)
-            session.emit(response)
+                accept()
+            finally:  # a POST connection that broke does not lose the stream its reply
+                if response is not None:
+                    session.emit(response)
+
+    def _respond(self, session: McpSession, raw: bytes, auth: str | None) -> dict | None:
+        try:
+            message = _loads(raw)
+        except ValueError as exc:
+            return _error_response(None, PARSE_ERROR, f"parse error: {exc}")
+        if not isinstance(message, dict) or message.get("jsonrpc") != "2.0" \
+                or not isinstance(message.get("method"), str):
+            msg_id = message.get("id") if isinstance(message, dict) else None
+            return _error_response(msg_id, INVALID_REQUEST, "invalid request")
+        msg_id = message.get("id")
+        if msg_id is None:
+            return None  # notification: processed silently, never answered
+        return self._dispatch(session, msg_id, message["method"],
+                              message.get("params") or {}, auth)
 
     def _dispatch(self, session: McpSession, msg_id, method: str, params, auth) -> dict:
         if not isinstance(params, dict):
@@ -290,14 +339,14 @@ class McpServer:
         if method == "resources/list":
             return _result_response(msg_id, {"resources": [dict(RESOURCE_DESCRIPTOR)]})
         if method == "resources/read":
-            return self._resources_read(session, msg_id, params, auth)
+            return self._resources_read(msg_id, params, auth)
         if method == "tools/list":
             return _result_response(msg_id, {"tools": [dict(t) for t in TOOL_DESCRIPTORS]})
         if method == "tools/call":
-            return self._tools_call(session, msg_id, params, auth)
+            return self._tools_call(msg_id, params, auth)
         return _error_response(msg_id, METHOD_NOT_FOUND, f"unknown method {method!r}")
 
-    def _resources_read(self, session: McpSession, msg_id, params, auth) -> dict:
+    def _resources_read(self, msg_id, params, auth) -> dict:
         uri = params.get("uri")
         if not isinstance(uri, str) or not uri.startswith("modelcard://"):
             return _error_response(msg_id, INVALID_PARAMS, "uri must match modelcard://{mc_id}")
@@ -305,14 +354,14 @@ class McpServer:
         if not mc_id or "/" in mc_id:
             return _error_response(msg_id, INVALID_PARAMS, "uri must carry one path segment")
         try:
-            text = session.backend.read_card(mc_id, auth)
+            text = self.backend.read_card(mc_id, auth)
         except NotFoundError:
             return _error_response(msg_id, RESOURCE_NOT_FOUND, "NOT_FOUND")
         return _result_response(msg_id, {
             "contents": [{"uri": uri, "mimeType": "application/json", "text": text}],
         })
 
-    def _tools_call(self, session: McpSession, msg_id, params, auth) -> dict:
+    def _tools_call(self, msg_id, params, auth) -> dict:
         name = params.get("name")
         arguments = params.get("arguments") or {}
         if not isinstance(name, str):
@@ -326,7 +375,7 @@ class McpServer:
                 return _error_response(
                     msg_id, INVALID_PARAMS, "source_id and target_id must be strings"
                 )
-            outcome = session.backend.create_edge(source, target, auth)
+            outcome = self.backend.create_edge(source, target, auth)
         elif name == "search_model_cards":
             query = arguments.get("query")
             limit = arguments.get("limit", 10)
@@ -334,7 +383,7 @@ class McpServer:
                 return _error_response(msg_id, INVALID_PARAMS, "query must be a string")
             if isinstance(limit, bool) or not isinstance(limit, int):
                 return _error_response(msg_id, INVALID_PARAMS, "limit must be an integer")
-            outcome = session.backend.search(query, limit, auth)
+            outcome = self.backend.search(query, limit, auth)
         else:
             return _error_response(msg_id, METHOD_NOT_FOUND, f"unknown tool {name!r}")
         return _result_response(msg_id, {
@@ -359,6 +408,8 @@ def _make_handler(server: McpServer):
         server_version = "mcard-mcp/0.1"
         sys_version = ""
         disable_nagle_algorithm = True
+        timeout = SOCKET_TIMEOUT_S  # idle read, and each send onto a stream
+        wbufsize = CHUNK_SIZE  # headers and a small body leave in one send
 
         def log_message(self, fmt, *args):
             pass
@@ -376,7 +427,7 @@ def _make_handler(server: McpServer):
             if split.path != "/sse":
                 self._reply_json(404, {"error": "NOT_FOUND", "detail": "no such endpoint"})
                 return
-            session = server.open_session()
+            session = server.open_session(self._write_event)
             if session is None:
                 self._reply_json(503, {"error": "SESSION_TABLE_FULL",
                                        "detail": f"cap is {config.session_cap}"})
@@ -393,25 +444,24 @@ def _make_handler(server: McpServer):
             self.send_header("Cache-Control", "no-cache")
             self.send_header("Connection", "close")
             self.end_headers()
-            endpoint = f"/messages?session_id={session.session_id}"
+            session.write(self._write_event, "endpoint",
+                          f"/messages?session_id={session.session_id}")
+            while not session.ended.wait(config.heartbeat_seconds):
+                session.write(self._ping)
+            # a failed write can leave bytes in wfile: shut the socket so the
+            # final flush fails at once instead of waiting out the timeout
             try:
-                self._write_event("endpoint", endpoint)
-                while True:
-                    try:
-                        message = session.events.get(timeout=config.heartbeat_seconds)
-                    except queue.Empty:
-                        self.wfile.write(b": ping\n\n")
-                        self.wfile.flush()
-                        continue
-                    if message is None:  # session closed
-                        return
-                    self._write_event("message", wire.dumps(message))
-            except (BrokenPipeError, ConnectionResetError, TimeoutError, OSError):
-                return
+                self.connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+
+        def _ping(self) -> None:
+            self.wfile.write(b": ping\n\n")
+            self.wfile.flush()
 
         def _write_event(self, name: str, data: str) -> None:
-            # written in parts: data can be many MB and one f-string build
-            # would copy it twice more
+            # written in parts into the buffered wfile: a small event leaves
+            # in one send, and a many-MB one is not copied again to join it
             self.wfile.write(f"event: {name}\ndata: ".encode("utf-8"))
             self.wfile.write(data.encode("utf-8"))
             self.wfile.write(b"\n\n")
@@ -431,8 +481,12 @@ def _make_handler(server: McpServer):
             if session is None or session.state == "closed":
                 self._reply_json(404, {"error": "NOT_FOUND", "detail": "unknown session"})
                 return
-            server.handle_post_body(session, raw, self.headers.get("Authorization"))
+            server.handle_post_body(session, raw, self.headers.get("Authorization"),
+                                    self._accept)
+
+        def _accept(self) -> None:
             self._reply_json(202, {"status": "accepted"})
+            self.wfile.flush()
 
         def do_DELETE(self):
             split = urlsplit(self.path)

@@ -2,20 +2,24 @@
 
 Every response is UTF-8 JSON except the linkset document (its own media
 type) and HEAD (headers only). Bodies over 1 MiB go out chunked so
-multi-megabyte cards stream on keep-alive connections. An in-memory access
-log records one entry per request and keeps the newest ``ACCESS_LOG_CAP``;
-the layered MCP backend's one-REST-call-per-operation contract is checked
-against it.
+multi-megabyte cards stream on keep-alive connections. Connections run on
+reused worker threads, at most ``CONNECTION_CAP`` at once (past it a new
+connection gets a 503), and a connection that sends nothing for
+``SOCKET_TIMEOUT_S`` is closed. Writes are buffered, so headers and a small
+body leave in one send. An in-memory access log records one entry per
+request and keeps the newest ``ACCESS_LOG_CAP``; the layered MCP backend's
+one-REST-call-per-operation contract is checked against it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import queue
 import sys
 import threading
 from collections import deque
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from . import wire
@@ -35,14 +39,80 @@ CHUNK_THRESHOLD = 1024 * 1024
 CHUNK_SIZE = 64 * 1024
 MAX_BODY_BYTES = 64 * 1024 * 1024
 ACCESS_LOG_CAP = 4096  # entries; older ones are dropped
+# open connections per server: at least two per MCP session (stream and
+# POSTs) at the default session cap of 256, plus headroom
+CONNECTION_CAP = 1024
+SOCKET_TIMEOUT_S = 120  # longest wait for a request's bytes, or for one send
 
 
-class QuietThreadingHTTPServer(ThreadingHTTPServer):
-    """Thread-per-connection server that does not spam stderr when a client
-    drops mid-response (normal during benchmarking with fresh connections)."""
+class QuietThreadingHTTPServer(HTTPServer):
+    """HTTP server whose connections run on reused worker threads.
 
-    daemon_threads = True
-    block_on_close = False
+    An accepted socket goes to an idle worker, or to a new one when none is
+    idle; a worker that finishes a connection waits for the next. With
+    ``CONNECTION_CAP`` workers busy, a new connection gets a 503 and is
+    closed. ``server_close`` ends the idle workers and leaves busy ones to
+    finish their connection. A client that drops mid-response (normal when
+    benchmarking with fresh connections) is not reported on stderr."""
+
+    def __init__(self, server_address, handler_class):
+        super().__init__(server_address, handler_class)
+        self._connections: queue.SimpleQueue = queue.SimpleQueue()
+        self._pool_lock = threading.Lock()
+        self._workers = 0  # started; a worker exits only once the server closes
+        self._idle = 0  # workers waiting for a connection no one has claimed
+        self._closing = False
+
+    def process_request(self, request, client_address):
+        with self._pool_lock:
+            start = refuse = False
+            if self._idle:
+                self._idle -= 1
+            elif self._workers < CONNECTION_CAP:
+                self._workers += 1
+                start = True
+            else:
+                refuse = True
+        if refuse:
+            self._refuse(request)
+            return
+        self._connections.put((request, client_address))
+        if start:
+            threading.Thread(target=self._work, daemon=True).start()
+
+    def _work(self) -> None:
+        while (job := self._connections.get()) is not None:
+            request, client_address = job
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+            with self._pool_lock:
+                if self._closing:
+                    return
+                self._idle += 1
+
+    def _refuse(self, request) -> None:
+        body = wire.dump_bytes({"error": "TOO_MANY_CONNECTIONS",
+                                "detail": f"cap is {CONNECTION_CAP}"})
+        head = ("HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n")
+        try:
+            request.setblocking(False)  # the accept loop never waits on a client
+            request.sendall(head.encode("ascii") + body)
+        except OSError:
+            pass
+        self.shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._pool_lock:
+            self._closing = True
+            idle, self._idle = self._idle, 0
+        for _ in range(idle):
+            self._connections.put(None)
 
     def handle_error(self, request, client_address):
         exc = sys.exc_info()[1]
@@ -148,7 +218,8 @@ def _make_handler(server: RestServer):
         server_version = "mcard-rest/0.1"
         sys_version = ""
         disable_nagle_algorithm = True
-        timeout = 120
+        timeout = SOCKET_TIMEOUT_S
+        wbufsize = CHUNK_SIZE  # headers and a body up to this size leave in one send
 
         # --- plumbing ---
 
@@ -174,9 +245,7 @@ def _make_handler(server: RestServer):
                 self.end_headers()
                 for i in range(0, len(body), CHUNK_SIZE):
                     chunk = body[i:i + CHUNK_SIZE]
-                    self.wfile.write(f"{len(chunk):x}\r\n".encode("ascii"))
-                    self.wfile.write(chunk)
-                    self.wfile.write(b"\r\n")
+                    self.wfile.write(b"%x\r\n%b\r\n" % (len(chunk), chunk))
                 self.wfile.write(b"0\r\n\r\n")
             else:
                 self.send_header("Content-Length", str(len(body)))
