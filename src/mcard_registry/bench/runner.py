@@ -156,7 +156,7 @@ def _mcp_sample(target, endpoint, via, plan, i, session: McpClient | None):
 
 def run_bench(target: str, operation: str, n: int, endpoint: str, manifest: dict,
               via_proxy: str | None = None, reuse_session: bool = False,
-              sample_offset: int = 0, warmup: int = 0, progress=None) -> RunResult:
+              sample_offset: int = 0, warmup: int = 0) -> RunResult:
     """n sequential samples against one server variant.
 
     sample_offset shifts the work-plan index so separate create_edge runs
@@ -211,8 +211,6 @@ def run_bench(target: str, operation: str, n: int, endpoint: str, manifest: dict
                 sample.total_ms = (sample.connection_setup_ms + sample.sse_handshake_ms
                                    + sample.server_processing_ms)
             samples.append(sample)
-            if progress is not None:
-                progress(i, sample)
     finally:
         if rest_conn is not None:
             rest_conn.close()

@@ -12,18 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
 from ..errors import FileIoError
 
 TARGETS = ("rest", "native_mcp", "layered_mcp")
 OPERATIONS = ("retrieve", "create_edge", "search")
-
-CSV_COLUMNS = (
-    "target", "operation", "sample_idx", "connection_setup_ms", "sse_handshake_ms",
-    "server_processing_ms", "total_ms", "db_time_ms", "payload_bytes",
-)
 
 COMPONENTS = ("connection_setup_ms", "sse_handshake_ms", "server_processing_ms", "total_ms")
 
@@ -42,22 +37,12 @@ class LatencySample:
     db_time_ms: float | None = None
     payload_bytes: int = 0
 
-    def to_jsonable(self) -> dict:
-        return {
-            "target": self.target,
-            "operation": self.operation,
-            "sample_idx": self.sample_idx,
-            "connection_setup_ms": self.connection_setup_ms,
-            "sse_handshake_ms": self.sse_handshake_ms,
-            "server_processing_ms": self.server_processing_ms,
-            "total_ms": self.total_ms,
-            "db_time_ms": self.db_time_ms,
-            "payload_bytes": self.payload_bytes,
-        }
-
     @classmethod
     def from_jsonable(cls, obj: dict) -> "LatencySample":
         return cls(**obj)
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(LatencySample))
 
 
 @dataclass
@@ -67,11 +52,7 @@ class RunResult:
     errors: list[dict] = field(default_factory=list)
 
     def to_jsonable(self) -> dict:
-        return {
-            "config": self.config,
-            "samples": [s.to_jsonable() for s in self.samples],
-            "errors": self.errors,
-        }
+        return asdict(self)
 
     @classmethod
     def from_jsonable(cls, obj: dict) -> "RunResult":
@@ -130,10 +111,9 @@ def build_report(result: RunResult) -> dict:
 def samples_to_csv(samples: list[LatencySample]) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for s in samples:
-        row = s.to_jsonable()
         cells = []
         for col in CSV_COLUMNS:
-            value = row[col]
+            value = getattr(s, col)
             if value is None:
                 cells.append("")
             elif isinstance(value, float):

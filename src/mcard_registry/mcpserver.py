@@ -9,8 +9,8 @@ the stream itself; one session's messages are processed one at a time, so
 replies arrive in request order. A comment heartbeat keeps idle streams
 alive. A stream write that fails, or waits ``SOCKET_TIMEOUT_S`` on a client
 that stops reading, closes the session; ``DELETE /messages?session_id=...``
-closes one explicitly. Connections share the REST frontend's worker pool,
-cap and idle timeout.
+closes one explicitly. The HTTP core is the REST frontend's: its worker
+pool, cap, idle timeout, request-body limit, reply writer and start/stop.
 
 Two backends expose the same surface (one resource, two tools): ``native``
 calls the registry in-process; ``layered`` forwards each call to a REST
@@ -26,20 +26,13 @@ import secrets
 import socket
 import threading
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler
 from urllib.parse import parse_qs, quote, urlsplit
 
 from . import wire
 from .cards import _loads
 from .errors import ApiError, NotFoundError
 from .registry import Registry
-from .rest import (
-    CHUNK_SIZE,
-    MAX_BODY_BYTES,
-    SOCKET_TIMEOUT_S,
-    QuietThreadingHTTPServer,
-    read_request_body,
-)
+from .rest import SOCKET_TIMEOUT_S, HttpService, JsonHandler
 
 PROTOCOL_VERSION = "2024-11-05"
 SERVER_INFO = {"name": "mcard-mcp", "version": "0.1.0"}
@@ -235,7 +228,7 @@ class McpSession:
                 self.ended.set()
 
 
-class McpServer:
+class McpServer(HttpService):
     def __init__(self, config: McpConfig, registry: Registry | None = None):
         self.config = config
         if config.backend == "native":
@@ -246,24 +239,12 @@ class McpServer:
             self.backend = LayeredBackend(config.rest_base_url)
         self.sessions: dict[str, McpSession] = {}
         self._sessions_lock = threading.Lock()
-        handler = _make_handler(self)
-        self._httpd = QuietThreadingHTTPServer((config.host, config.port), handler)
-        self._thread: threading.Thread | None = None
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    def start(self) -> "McpServer":
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
-        self._thread.start()
-        return self
+        super().__init__(config.host, config.port, _make_handler(self))
 
     def stop(self) -> None:
         for session_id in list(self.sessions):
             self.close_session(session_id)
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        super().stop()
         self.backend.close()
 
     # --- session management ---
@@ -403,24 +384,9 @@ def _error_response(msg_id, code: int, message: str) -> dict:
 def _make_handler(server: McpServer):
     config = server.config
 
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
+    class Handler(JsonHandler):
         server_version = "mcard-mcp/0.1"
-        sys_version = ""
-        disable_nagle_algorithm = True
         timeout = SOCKET_TIMEOUT_S  # idle read, and each send onto a stream
-        wbufsize = CHUNK_SIZE  # headers and a small body leave in one send
-
-        def log_message(self, fmt, *args):
-            pass
-
-        def _reply_json(self, status: int, obj) -> None:
-            body = wire.dump_bytes(obj)
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
 
         def do_GET(self):
             split = urlsplit(self.path)
@@ -468,8 +434,7 @@ def _make_handler(server: McpServer):
             self.wfile.flush()
 
         def do_POST(self):
-            # drain the body first so keep-alive framing survives error replies
-            raw = read_request_body(self, MAX_BODY_BYTES)
+            raw = self._read_body()
             if raw is None:
                 return
             split = urlsplit(self.path)

@@ -8,7 +8,10 @@ connection gets a 503), and a connection that sends nothing for
 ``SOCKET_TIMEOUT_S`` is closed. Writes are buffered, so headers and a small
 body leave in one send. An in-memory access log records one entry per
 request and keeps the newest ``ACCESS_LOG_CAP``; the layered MCP backend's
-one-REST-call-per-operation contract is checked against it.
+one-REST-call-per-operation contract is checked against it. The MCP
+frontend runs on the same HTTP core: the worker pool, ``JsonHandler`` (JSON
+replies, and request bodies capped at ``MAX_BODY_BYTES``) and
+``HttpService`` (start and stop).
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ from . import wire
 from .cards import (
     LINKSET_MEDIA_TYPE,
     LinkEntry,
+    LinkSet,
     _loads,
+    build_linkset_from_fields,
     linkset_to_jsonable,
     parse_deployment,
     parse_model_card,
@@ -43,6 +48,7 @@ ACCESS_LOG_CAP = 4096  # entries; older ones are dropped
 # POSTs) at the default session cap of 256, plus headroom
 CONNECTION_CAP = 1024
 SOCKET_TIMEOUT_S = 120  # longest wait for a request's bytes, or for one send
+POLL_INTERVAL_S = 0.02  # how often the accept loop checks for stop()
 
 
 class QuietThreadingHTTPServer(HTTPServer):
@@ -127,12 +133,7 @@ class RestConfig:
     port: int = 0
     base_url: str | None = None  # derived from the bound address when unset
     bearer_token: str | None = None
-    max_body_bytes: int = MAX_BODY_BYTES
     log_body_hash: bool = False
-
-    def __post_init__(self):
-        if self.max_body_bytes < 1024 * 1024:
-            raise ValueError("max_body_bytes must be at least 1 MiB")
 
 
 @dataclass(slots=True)
@@ -144,59 +145,106 @@ class AccessLogEntry:
     body_sha256: str | None = None
 
 
-def read_request_body(handler: BaseHTTPRequestHandler, limit: int) -> bytes | None:
-    """Read a request body framed by Content-Length (RFC 9112 section 6.3).
+class JsonHandler(BaseHTTPRequestHandler):
+    """What both frontends' request handlers share: HTTP/1.1 keep-alive
+    without Nagle, buffered writes, no stderr log, JSON replies and
+    Content-Length framing of request bodies."""
 
-    A missing, non-numeric, negative or conflicting (repeated with different
-    values) length gets a 400 reply, and a length over ``limit`` a 413, both
-    through ``handler._reply_json``; None means such a reply went out. The connection is then closed, because the unread body
-    would otherwise be parsed as the next request.
-    """
-    values = {v.strip() for v in handler.headers.get_all("Content-Length", ())}
-    raw = values.pop() if len(values) == 1 else ""
-    if not (raw.isascii() and raw.isdigit()):
-        handler.close_connection = True
-        handler._reply_json(400, {"error": "BAD_CONTENT_LENGTH",
-                                  "detail": "request body needs one non-negative "
-                                            "decimal Content-Length"})
-        return None
-    length = int(raw)
-    if length > limit:
-        handler.close_connection = True
-        handler._reply_json(413, {"error": "BODY_TOO_LARGE",
-                                  "detail": f"limit is {limit} bytes"})
-        return None
-    return handler.rfile.read(length)
+    protocol_version = "HTTP/1.1"
+    sys_version = ""
+    disable_nagle_algorithm = True
+    wbufsize = CHUNK_SIZE  # headers and a body up to this size leave in one send
+
+    def log_message(self, fmt, *args):  # default stderr noise off
+        pass
+
+    def _reply(self, status: int, body: bytes, content_type: str,
+               extra_headers: list[tuple[str, str]] | None = None,
+               head_only: bool = False) -> None:
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        for name, value in extra_headers or ():
+            self.send_header(name, value)
+        if head_only:
+            self.end_headers()
+        elif len(body) > CHUNK_THRESHOLD:
+            self.send_header("Transfer-Encoding", "chunked")
+            self.end_headers()
+            for i in range(0, len(body), CHUNK_SIZE):
+                chunk = body[i:i + CHUNK_SIZE]
+                self.wfile.write(b"%x\r\n%b\r\n" % (len(chunk), chunk))
+            self.wfile.write(b"0\r\n\r\n")
+        else:
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            if body:
+                self.wfile.write(body)
+
+    def _reply_json(self, status: int, obj, extra_headers=None, head_only=False):
+        self._reply(status, wire.dump_bytes(obj), "application/json",
+                    extra_headers, head_only)
+
+    def _read_body(self) -> bytes | None:
+        """Read a request body framed by Content-Length (RFC 9112 section 6.3).
+
+        A missing, non-numeric, negative or conflicting (repeated with
+        different values) length gets a 400 reply, and a length over
+        ``MAX_BODY_BYTES`` a 413; None means such a reply went out. The
+        connection is then closed, because the unread body would otherwise be
+        parsed as the next request. Read before any other reply, so
+        keep-alive framing survives early error responses.
+        """
+        values = {v.strip() for v in self.headers.get_all("Content-Length", ())}
+        raw = values.pop() if len(values) == 1 else ""
+        if not (raw.isascii() and raw.isdigit()):
+            self.close_connection = True
+            self._reply_json(400, {"error": "BAD_CONTENT_LENGTH",
+                                   "detail": "request body needs one non-negative "
+                                             "decimal Content-Length"})
+            return None
+        length = int(raw)
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            self._reply_json(413, {"error": "BODY_TOO_LARGE",
+                                   "detail": f"limit is {MAX_BODY_BYTES} bytes"})
+            return None
+        return self.rfile.read(length)
 
 
-class RestServer:
+class HttpService:
+    """One server on its own accept thread; ``stop()`` returns within
+    ``POLL_INTERVAL_S`` and leaves busy workers to finish their connection."""
+
+    def __init__(self, host: str, port: int, handler_class):
+        self._httpd = QuietThreadingHTTPServer((host, port), handler_class)
+
+    @property
+    def port(self) -> int:
+        return self._httpd.server_address[1]
+
+    def start(self):
+        threading.Thread(target=self._httpd.serve_forever, args=(POLL_INTERVAL_S,),
+                         daemon=True).start()
+        return self
+
+    def stop(self) -> None:
+        self._httpd.shutdown()
+        self._httpd.server_close()
+
+
+class RestServer(HttpService):
     def __init__(self, registry: Registry, config: RestConfig | None = None):
         self.registry = registry
         self.config = config or RestConfig()
         self._log: deque[AccessLogEntry] = deque(maxlen=ACCESS_LOG_CAP)
         self._log_lock = threading.Lock()
-        handler = _make_handler(self)
-        self._httpd = QuietThreadingHTTPServer((self.config.host, self.config.port), handler)
-        self._thread: threading.Thread | None = None
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
+        super().__init__(self.config.host, self.config.port, _make_handler(self))
 
     @property
     def base_url(self) -> str:
         if self.config.base_url:
             return self.config.base_url.rstrip("/")
         return f"http://{self.config.host}:{self.port}"
-
-    def start(self) -> "RestServer":
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
 
     @property
     def access_log(self) -> list[AccessLogEntry]:
@@ -213,18 +261,9 @@ def _make_handler(server: RestServer):
     registry = server.registry
     config = server.config
 
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
+    class Handler(JsonHandler):
         server_version = "mcard-rest/0.1"
-        sys_version = ""
-        disable_nagle_algorithm = True
         timeout = SOCKET_TIMEOUT_S
-        wbufsize = CHUNK_SIZE  # headers and a body up to this size leave in one send
-
-        # --- plumbing ---
-
-        def log_message(self, fmt, *args):  # default stderr noise off
-            pass
 
         def _reply(self, status: int, body: bytes, content_type: str,
                    extra_headers: list[tuple[str, str]] | None = None,
@@ -234,34 +273,7 @@ def _make_handler(server: RestServer):
             digest = hashlib.sha256(body).hexdigest() if config.log_body_hash else None
             server.record(AccessLogEntry(self.command, self.path, status,
                                          0 if head_only else len(body), digest))
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            for name, value in extra_headers or ():
-                self.send_header(name, value)
-            if head_only:
-                self.end_headers()
-            elif len(body) > CHUNK_THRESHOLD:
-                self.send_header("Transfer-Encoding", "chunked")
-                self.end_headers()
-                for i in range(0, len(body), CHUNK_SIZE):
-                    chunk = body[i:i + CHUNK_SIZE]
-                    self.wfile.write(b"%x\r\n%b\r\n" % (len(chunk), chunk))
-                self.wfile.write(b"0\r\n\r\n")
-            else:
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                if body:
-                    self.wfile.write(body)
-
-        def _reply_json(self, status: int, obj, extra_headers=None, head_only=False):
-            self._reply(status, wire.dump_bytes(obj), "application/json",
-                        extra_headers, head_only)
-
-        def _stash_body(self) -> bool:
-            """Read the request body before any reply so keep-alive framing
-            survives early error responses. False means a reply went out."""
-            self._body = read_request_body(self, config.max_body_bytes)
-            return self._body is not None
+            super()._reply(status, body, content_type, extra_headers, head_only)
 
         def _authorized(self, path: str) -> bool:
             if config.bearer_token is None or path == "/health":
@@ -291,8 +303,10 @@ def _make_handler(server: RestServer):
                 split = urlsplit(self.path)
                 path = unquote(split.path)
                 query = parse_qs(split.query)
-                if method == "POST" and not self._stash_body():
-                    return
+                if method == "POST":
+                    self._body = self._read_body()
+                    if self._body is None:
+                        return
                 if not self._authorized(path):
                     return
                 parts = [p for p in path.split("/") if p]
@@ -331,24 +345,20 @@ def _make_handler(server: RestServer):
             nodes, edges = registry.counts()
             self._reply_json(200, {"status": "ok", "node_count": nodes, "edge_count": edges})
 
-        def _link_headers(self, mc_id: str) -> list[tuple[str, str]]:
-            linkset = registry.get_linkset(mc_id, server.base_url)
-            pointer = LinkEntry(
-                f"{server.base_url}/modelcard/{mc_id}/linkset", "linkset", LINKSET_MEDIA_TYPE
-            )
-            return [("Link", serialize_link_header(linkset, extra=(pointer,)))]
-
         def _card(self, mc_id: str, head_only: bool):
             if head_only:
                 # lightweight: existence probe plus signposting headers only
-                registry.get_linkset(mc_id, server.base_url)
+                linkset = registry.get_linkset(mc_id, server.base_url)
                 self._reply(200, b"", "application/json",
-                            self._link_headers(mc_id), head_only=True)
+                            [_link_header(linkset)], head_only=True)
                 return
             agg = registry.retrieve_model_card(mc_id)
-            headers = self._link_headers(mc_id)
+            model = agg.ai_model
+            linkset = build_linkset_from_fields(mc_id, model["artifact_location"],
+                                                model.get("container_image_location"),
+                                                server.base_url)
             total = sum(ms for _, ms in agg.query_timings)
-            headers.append(("X-DB-Time-Ms", f"{total:.2f}"))
+            headers = [_link_header(linkset), ("X-DB-Time-Ms", f"{total:.2f}")]
             self._reply_json(200, wire.aggregated_to_jsonable(agg), headers)
 
         def _linkset(self, mc_id: str):
@@ -400,6 +410,11 @@ def _make_handler(server: RestServer):
                                    "element_id": str(element)})
 
     return Handler
+
+
+def _link_header(linkset: LinkSet) -> tuple[str, str]:
+    pointer = LinkEntry(f"{linkset.anchor}/linkset", "linkset", LINKSET_MEDIA_TYPE)
+    return "Link", serialize_link_header(linkset, extra=(pointer,))
 
 
 def _json_object(body: bytes) -> dict:

@@ -40,8 +40,7 @@ def _cmd_rest(args) -> int:
     host, port = _addr(args.bind)
     registry = _registry(args)
     server = RestServer(registry, RestConfig(
-        host=host, port=port, base_url=args.base_url,
-        bearer_token=args.bearer_token, max_body_bytes=args.max_body_bytes,
+        host=host, port=port, base_url=args.base_url, bearer_token=args.bearer_token,
     )).start()
     print(f"REST server on {server.base_url}")
     return _wait(server.stop, registry, args.snapshot)
@@ -105,8 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     rest.add_argument("--bind", default=os.environ.get("BIND_ADDR", "127.0.0.1:8080"))
     rest.add_argument("--base-url", default=os.environ.get("BASE_URL"))
     rest.add_argument("--bearer-token", default=os.environ.get("BEARER_TOKEN"))
-    rest.add_argument("--max-body-bytes", type=int,
-                      default=int(os.environ.get("MAX_BODY_BYTES", 64 * 1024 * 1024)))
     rest.add_argument("--snapshot", help="graph snapshot to load at startup and save on exit")
     rest.set_defaults(func=_cmd_rest)
 

@@ -71,6 +71,8 @@ def test_csv_columns_and_row_count():
     lines = text.strip().split("\n")
     assert len(lines) == 1001  # header + rows
     assert lines[0] == ",".join(CSV_COLUMNS)
+    assert lines[0] == ("target,operation,sample_idx,connection_setup_ms,sse_handshake_ms,"
+                        "server_processing_ms,total_ms,db_time_ms,payload_bytes")
     assert lines[1].startswith("rest,retrieve,0,")
 
 

@@ -99,6 +99,37 @@ def test_stop_leaves_no_worker_thread(make_server):
     assert _wait_until(lambda: threading.active_count() <= before, 2)
 
 
+def test_stop_returns_promptly_with_connections_open():
+    registry = Registry()
+    mc_id = ingest_dict(registry, card_dict())
+    rest_server = RestServer(registry, RestConfig()).start()
+    native = McpServer(McpConfig(heartbeat_seconds=0.2), registry).start()
+    layered = McpServer(McpConfig(backend="layered", rest_base_url=rest_server.base_url,
+                                  heartbeat_seconds=0.2)).start()
+    idle = http.client.HTTPConnection("127.0.0.1", rest_server.port, timeout=5)
+    clients = [McpClient(f"127.0.0.1:{s.port}", timeout=5) for s in (native, layered)]
+    servers = {"layered_mcp": layered, "native_mcp": native, "rest": rest_server}
+    took = {}
+    try:
+        idle.request("GET", "/health")
+        idle.getresponse().read()  # the connection stays open, idle
+        for client in clients:  # each leaves its SSE stream open
+            client.connect()
+            client.handshake()
+            client.read_resource(mc_id)  # layered: leaves a pooled REST connection idle
+        for name, server in servers.items():
+            start = time.perf_counter()
+            server.stop()
+            took[name] = time.perf_counter() - start
+        assert all(seconds < 0.1 for seconds in took.values()), took
+    finally:
+        for client in clients:
+            client.close()
+        idle.close()
+        for name in servers.keys() - took.keys():
+            servers[name].stop()
+
+
 def test_worker_pool_counts_survive_concurrent_fresh_connections():
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # interleave the pool's bookkeeping often

@@ -103,6 +103,27 @@ def test_head_get_header_parity(server, url):
     assert head_items == get_items
 
 
+def test_card_read_looks_the_card_up_once(server, url, monkeypatch):
+    with_image = card_dict()
+    with_image["ai_model"]["container_image_location"] = "https://images.example.org/a:1"
+    mc_id = ingest_dict(server.registry, with_image)
+    store = server.registry.store
+    calls = []
+    find_nodes = store.find_nodes
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return find_nodes(*args, **kwargs)
+
+    monkeypatch.setattr(store, "find_nodes", counted)
+    get = requests.get(f"{url}/modelcard/{mc_id}")
+    assert get.status_code == 200 and len(calls) == 1
+    head = requests.head(f"{url}/modelcard/{mc_id}")
+    assert head.status_code == 200 and len(calls) == 2
+    assert get.headers["Link"] == head.headers["Link"]
+    assert 'rel="item"' in get.headers["Link"] and "images.example.org" in get.headers["Link"]
+
+
 # --- linkset ---
 
 def test_linkset_media_type_and_counts(server, url):
@@ -434,11 +455,6 @@ def test_bearer_token_enforced():
         assert ok.status_code == 201
     finally:
         srv.stop()
-
-
-def test_rest_config_enforces_min_body_size():
-    with pytest.raises(ValueError):
-        RestConfig(max_body_bytes=1024)
 
 
 # --- error statuses ---
