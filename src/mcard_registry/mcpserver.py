@@ -10,7 +10,8 @@ replies arrive in request order. A comment heartbeat keeps idle streams
 alive. A stream write that fails, or waits ``SOCKET_TIMEOUT_S`` on a client
 that stops reading, closes the session; ``DELETE /messages?session_id=...``
 closes one explicitly. The HTTP core is the REST frontend's: its worker
-pool, cap, idle timeout, request-body limit, reply writer and start/stop.
+pool, cap, idle timeout, head parser and limits, request-body limit, reply
+writer (the stream head, 202 and 204 included) and start/stop.
 
 Two backends expose the same surface (one resource, two tools): ``native``
 calls the registry in-process; ``layered`` forwards each call to a REST
@@ -389,8 +390,7 @@ def _make_handler(server: McpServer):
         timeout = SOCKET_TIMEOUT_S  # idle read, and each send onto a stream
 
         def do_GET(self):
-            split = urlsplit(self.path)
-            if split.path != "/sse":
+            if self.url.path != "/sse":
                 self._reply_json(404, {"error": "NOT_FOUND", "detail": "no such endpoint"})
                 return
             session = server.open_session(self._write_event)
@@ -402,14 +402,11 @@ def _make_handler(server: McpServer):
                 self._stream(session)
             finally:
                 server.close_session(session.session_id)
-                self.close_connection = True
 
         def _stream(self, session: McpSession) -> None:
-            self.send_response(200)
-            self.send_header("Content-Type", "text/event-stream")
-            self.send_header("Cache-Control", "no-cache")
-            self.send_header("Connection", "close")
-            self.end_headers()
+            self.close_connection = True
+            self._reply(200, b"", "text/event-stream", [("Cache-Control", "no-cache")],
+                        head_only=True)
             session.write(self._write_event, "endpoint",
                           f"/messages?session_id={session.session_id}")
             while not session.ended.wait(config.heartbeat_seconds):
@@ -437,11 +434,10 @@ def _make_handler(server: McpServer):
             raw = self._read_body()
             if raw is None:
                 return
-            split = urlsplit(self.path)
-            if split.path != "/messages":
+            if self.url.path != "/messages":
                 self._reply_json(404, {"error": "NOT_FOUND", "detail": "no such endpoint"})
                 return
-            session_id = parse_qs(split.query).get("session_id", [""])[0]
+            session_id = parse_qs(self.url.query).get("session_id", [""])[0]
             session = server.get_session(session_id)
             if session is None or session.state == "closed":
                 self._reply_json(404, {"error": "NOT_FOUND", "detail": "unknown session"})
@@ -454,14 +450,11 @@ def _make_handler(server: McpServer):
             self.wfile.flush()
 
         def do_DELETE(self):
-            split = urlsplit(self.path)
-            if split.path != "/messages":
+            if self.url.path != "/messages":
                 self._reply_json(404, {"error": "NOT_FOUND", "detail": "no such endpoint"})
                 return
-            session_id = parse_qs(split.query).get("session_id", [""])[0]
+            session_id = parse_qs(self.url.query).get("session_id", [""])[0]
             server.close_session(session_id)
-            self.send_response(204)
-            self.send_header("Content-Length", "0")
-            self.end_headers()
+            self._reply(204, b"", None)
 
     return Handler

@@ -1,27 +1,38 @@
 """Stateless HTTP/1.1 frontend over the registry, signposting included.
 
-Every response is UTF-8 JSON except the linkset document (its own media
-type) and HEAD (headers only). Bodies over 1 MiB go out chunked so
-multi-megabyte cards stream on keep-alive connections. Connections run on
-reused worker threads, at most ``CONNECTION_CAP`` at once (past it a new
-connection gets a 503), and a connection that sends nothing for
-``SOCKET_TIMEOUT_S`` is closed. Writes are buffered, so headers and a small
-body leave in one send. An in-memory access log records one entry per
-request and keeps the newest ``ACCESS_LOG_CAP``; the layered MCP backend's
-one-REST-call-per-operation contract is checked against it. The MCP
-frontend runs on the same HTTP core: the worker pool, ``JsonHandler`` (JSON
-replies, and request bodies capped at ``MAX_BODY_BYTES``) and
-``HttpService`` (start and stop).
+Request heads are read by ``JsonHandler.parse_request``, not the stdlib's
+``email`` parser: ``METHOD SP target SP HTTP/1.x`` and at most
+``MAX_FIELDS`` field lines of at most ``LINE_LIMIT`` bytes; a head that
+breaks these rules gets a JSON 400, 414, 431, 501 or 505 and a closed
+connection. Every handler reply is written by ``JsonHandler._reply``, and
+every response head (the 503 past the cap and ``100 Continue`` included)
+is formatted by ``_head``. Every response is UTF-8 JSON except the linkset
+document (its own media type) and HEAD (headers only). Bodies over 1 MiB go
+out chunked so multi-megabyte cards stream on keep-alive connections.
+Connections run on reused worker threads, at most ``CONNECTION_CAP`` at
+once (past it a new connection gets a 503), and a connection that sends
+nothing for ``SOCKET_TIMEOUT_S`` is closed. Writes are buffered, so headers
+and a small body leave in one send. An in-memory access log records one
+entry per request and keeps the newest ``ACCESS_LOG_CAP``; the layered MCP
+backend's one-REST-call-per-operation contract is checked against it. The MCP
+frontend runs on the same HTTP core: the worker pool, ``JsonHandler`` (head
+parser, reply writer, JSON replies, and request bodies capped at
+``MAX_BODY_BYTES``) and ``HttpService`` (start and stop).
 """
 
 from __future__ import annotations
 
 import hashlib
 import queue
+import re
 import sys
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass
+from email.utils import formatdate
+from functools import lru_cache
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from urllib.parse import parse_qs, unquote, urlsplit
 
@@ -49,6 +60,38 @@ ACCESS_LOG_CAP = 4096  # entries; older ones are dropped
 CONNECTION_CAP = 1024
 SOCKET_TIMEOUT_S = 120  # longest wait for a request's bytes, or for one send
 POLL_INTERVAL_S = 0.02  # how often the accept loop checks for stop()
+LINE_LIMIT = 64 * 1024  # bytes in the request line, and in each field line
+MAX_FIELDS = 100  # field lines in one request head
+
+_TOKEN = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")  # a field name (RFC 9110 section 5.1)
+_LATER_HTTP = re.compile(r"HTTP/[2-9](?:\.[0-9])?")
+_HEAD_END = (b"\r\n", b"\n", b"")  # the blank line, or the client closed
+
+
+def _head(status: int, fields) -> bytes:
+    """A response head: the status line, one line per (name, value), and the
+    blank line."""
+    lines = [f"HTTP/1.1 {status} {HTTPStatus(status).phrase}"]
+    lines += [f"{name}: {value}" for name, value in fields]
+    lines.append("\r\n")
+    return "\r\n".join(lines).encode("latin-1")
+
+
+@lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    return formatdate(second, usegmt=True)
+
+
+class _Fields(dict):
+    """A request's header fields: lowercased name -> its values in arrival
+    order. ``get`` (the first value) and ``get_all`` take a name in any case."""
+
+    def get(self, name: str, default=None):
+        values = dict.get(self, name.lower())
+        return values[0] if values else default
+
+    def get_all(self, name: str, default=None):
+        return dict.get(self, name.lower(), default)
 
 
 class QuietThreadingHTTPServer(HTTPServer):
@@ -103,11 +146,11 @@ class QuietThreadingHTTPServer(HTTPServer):
     def _refuse(self, request) -> None:
         body = wire.dump_bytes({"error": "TOO_MANY_CONNECTIONS",
                                 "detail": f"cap is {CONNECTION_CAP}"})
-        head = ("HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n")
+        head = _head(503, [("Content-Type", "application/json"),
+                           ("Content-Length", len(body)), ("Connection", "close")])
         try:
             request.setblocking(False)  # the accept loop never waits on a client
-            request.sendall(head.encode("ascii") + body)
+            request.sendall(head + body)
         except OSError:
             pass
         self.shutdown_request(request)
@@ -146,37 +189,108 @@ class AccessLogEntry:
 
 
 class JsonHandler(BaseHTTPRequestHandler):
-    """What both frontends' request handlers share: HTTP/1.1 keep-alive
-    without Nagle, buffered writes, no stderr log, JSON replies and
-    Content-Length framing of request bodies."""
+    """What both frontends' request handlers share: an HTTP/1.1 head parser
+    and head writer, keep-alive without Nagle, buffered writes, no stderr
+    log, JSON replies and Content-Length framing of request bodies.
 
-    protocol_version = "HTTP/1.1"
-    sys_version = ""
+    The stdlib runs the connection loop; it calls ``parse_request`` for each
+    request line, and ``send_error`` for a request line over ``LINE_LIMIT``
+    (414) and for a method with no ``do_*`` handler (501)."""
+
     disable_nagle_algorithm = True
     wbufsize = CHUNK_SIZE  # headers and a body up to this size leave in one send
 
     def log_message(self, fmt, *args):  # default stderr noise off
         pass
 
-    def _reply(self, status: int, body: bytes, content_type: str,
+    def parse_request(self) -> bool:
+        """Read one request head (RFC 9112 sections 3 and 5).
+
+        Takes exactly ``METHOD SP target SP HTTP/1.0`` or ``HTTP/1.1``, then
+        at most ``MAX_FIELDS`` ``name: value`` lines of at most
+        ``LINE_LIMIT`` bytes each; sets ``command``, ``path``, ``url`` (the
+        split target) and ``headers``. Anything else gets a JSON error (400;
+        431 for a long or extra field line; 505 for HTTP/2 and later), the
+        connection is closed, and False is returned.
+        """
+        self.close_connection = True
+        parts = self.raw_requestline.decode("latin-1").rstrip("\r\n").split(" ")
+        if len(parts) != 3 or not all(parts):
+            return self._reject(400, "request line must be METHOD SP target SP HTTP/1.x")
+        method, target, version = parts
+        if version not in ("HTTP/1.1", "HTTP/1.0"):
+            if _LATER_HTTP.fullmatch(version):
+                return self._reject(505, f"{version} is not served; use HTTP/1.1")
+            return self._reject(400, "version must be HTTP/1.0 or HTTP/1.1")
+        if target.startswith("//"):  # "//path" would read as a host
+            target = "/" + target.lstrip("/")
+        try:
+            url = urlsplit(target)
+        except ValueError:
+            return self._reject(400, "malformed request target")
+        fields = _Fields()
+        count = 0
+        while (line := self.rfile.readline(LINE_LIMIT + 1)) not in _HEAD_END:
+            count += 1
+            if len(line) > LINE_LIMIT:
+                return self._reject(431, f"a field line is over {LINE_LIMIT} bytes")
+            if count > MAX_FIELDS:
+                return self._reject(431, f"more than {MAX_FIELDS} field lines")
+            name, colon, value = line.decode("latin-1").rstrip("\r\n").partition(":")
+            # no folded lines, no space before the colon, no CR or NUL in a value
+            if not colon or not _TOKEN.fullmatch(name) or "\r" in value or "\0" in value:
+                return self._reject(400, "field line must be name: value")
+            fields.setdefault(name.lower(), []).append(value.strip(" \t"))
+        self.command, self.path, self.url, self.headers = method, target, url, fields
+        connection = fields.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive" or version == "HTTP/1.1":
+            self.close_connection = False
+        if version == "HTTP/1.1" and fields.get("expect", "").lower() == "100-continue":
+            self.wfile.write(_head(100, ()))
+            self.wfile.flush()
+        return True
+
+    def _reject(self, status: int, detail: str) -> bool:
+        self.send_error(status, detail)
+        return False
+
+    def send_error(self, code: int, message: str | None = None, explain=None) -> None:
+        """Answer a request head that cannot be served with a JSON error and
+        close the connection. Not recorded in the REST access log: the
+        request may have no method or path."""
+        status = HTTPStatus(code)
+        self.close_connection = True
+        JsonHandler._reply(self, code, wire.dump_bytes({"error": status.name,
+                                                        "detail": message or status.description}),
+                           "application/json")
+
+    def _reply(self, status: int, body: bytes, content_type: str | None,
                extra_headers: list[tuple[str, str]] | None = None,
                head_only: bool = False) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        for name, value in extra_headers or ():
-            self.send_header(name, value)
+        """The one reply writer: the head (with ``Connection: close`` when
+        the connection closes after this reply) and then the body, framed by
+        Content-Length or, past ``CHUNK_THRESHOLD``, chunked. ``head_only``
+        writes the head without framing or body (HEAD, an event stream)."""
+        fields = [("Server", self.server_version), ("Date", _http_date(int(time.time())))]
+        if content_type:
+            fields.append(("Content-Type", content_type))
+        fields += extra_headers or ()
+        if self.close_connection:
+            fields.append(("Connection", "close"))
         if head_only:
-            self.end_headers()
+            self.wfile.write(_head(status, fields))
         elif len(body) > CHUNK_THRESHOLD:
-            self.send_header("Transfer-Encoding", "chunked")
-            self.end_headers()
+            fields.append(("Transfer-Encoding", "chunked"))
+            self.wfile.write(_head(status, fields))
             for i in range(0, len(body), CHUNK_SIZE):
                 chunk = body[i:i + CHUNK_SIZE]
                 self.wfile.write(b"%x\r\n%b\r\n" % (len(chunk), chunk))
             self.wfile.write(b"0\r\n\r\n")
         else:
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
+            fields.append(("Content-Length", len(body)))
+            self.wfile.write(_head(status, fields))
             if body:
                 self.wfile.write(body)
 
@@ -217,18 +331,21 @@ class HttpService:
 
     def __init__(self, host: str, port: int, handler_class):
         self._httpd = QuietThreadingHTTPServer((host, port), handler_class)
+        self._started = False
 
     @property
     def port(self) -> int:
         return self._httpd.server_address[1]
 
     def start(self):
+        self._started = True
         threading.Thread(target=self._httpd.serve_forever, args=(POLL_INTERVAL_S,),
                          daemon=True).start()
         return self
 
     def stop(self) -> None:
-        self._httpd.shutdown()
+        if self._started:  # shutdown() waits for a serve_forever loop to end
+            self._httpd.shutdown()
         self._httpd.server_close()
 
 
@@ -300,9 +417,8 @@ def _make_handler(server: RestServer):
 
         def _route(self, method: str):
             try:
-                split = urlsplit(self.path)
-                path = unquote(split.path)
-                query = parse_qs(split.query)
+                path = unquote(self.url.path)
+                query = parse_qs(self.url.query)
                 if method == "POST":
                     self._body = self._read_body()
                     if self._body is None:

@@ -130,19 +130,38 @@ HOSTILE_CONTENT_LENGTHS = [
 ]
 
 
-def raw_post(port: int, path: str, content_lengths: list[str] | None) -> tuple[int, dict]:
-    """POST over a raw socket with the given Content-Length lines and a
-    small body; returns (status, JSON body). Reads until the server closes
-    the connection, so a server that keeps it open fails on the timeout."""
-    head = f"POST {path} HTTP/1.1\r\nHost: 127.0.0.1\r\n"
-    head += "".join(f"Content-Length: {value}\r\n" for value in content_lengths or ())
+def raw_request(port: int, data: bytes) -> tuple[int, dict, bytes]:
+    """Send ``data`` over a raw socket and read until the server closes the
+    connection, so a server that keeps it open fails on the timeout. Returns
+    the final reply's status, its header fields (names lowercased) and its
+    body; interim 1xx heads are skipped."""
     with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
-        sock.sendall(head.encode("ascii") + b"\r\n" + b"{}")
+        try:
+            sock.sendall(data)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the server answered and closed before reading everything
         reply = b""
         while chunk := sock.recv(65536):
             reply += chunk
-    headers, _, body = reply.partition(b"\r\n\r\n")
-    return int(headers.split(b" ", 2)[1]), json.loads(body)
+    while reply.startswith(b"HTTP/1.1 1"):
+        reply = reply.partition(b"\r\n\r\n")[2]
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head, "connection closed without a reply"
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    fields = {}
+    for line in lines:
+        name, _, value = line.partition(":")
+        fields[name.lower()] = value.strip()
+    return int(status_line.split(" ", 2)[1]), fields, body
+
+
+def raw_post(port: int, path: str, content_lengths: list[str] | None) -> tuple[int, dict, dict]:
+    """POST with the given Content-Length lines and a small body; returns
+    (status, header fields, JSON body)."""
+    head = f"POST {path} HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+    head += "".join(f"Content-Length: {value}\r\n" for value in content_lengths or ())
+    status, fields, body = raw_request(port, head.encode("ascii") + b"\r\n" + b"{}")
+    return status, fields, json.loads(body)
 
 
 # JSON bodies whose decoding fails outside JSONDecodeError: an integer literal
@@ -155,18 +174,12 @@ UNDECODABLE_JSON = [
 
 
 def raw_json_post(port: int, path: str, body: bytes) -> tuple[int, dict]:
-    """POST ``body`` over a raw socket and read the reply until the server
-    closes; a server that drops the connection unanswered fails here."""
+    """POST ``body`` and read the reply until the server closes; a server
+    that drops the connection unanswered fails here."""
     head = (f"POST {path} HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n"
             f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n")
-    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
-        sock.sendall(head.encode("ascii") + body)
-        reply = b""
-        while chunk := sock.recv(65536):
-            reply += chunk
-    headers, _, payload = reply.partition(b"\r\n\r\n")
-    assert headers, "connection closed without a reply"
-    return int(headers.split(b" ", 2)[1]), json.loads(payload)
+    status, _, payload = raw_request(port, head.encode("ascii") + body)
+    return status, json.loads(payload)
 
 
 @pytest.fixture

@@ -87,6 +87,15 @@ def test_connections_past_the_cap_get_503_and_start_no_thread(monkeypatch, make_
 
 
 @SERVERS
+def test_stop_before_start_returns(make_server):
+    server = make_server(Registry())
+    stopper = threading.Thread(target=server.stop, daemon=True)
+    stopper.start()
+    stopper.join(2)
+    assert not stopper.is_alive()
+
+
+@SERVERS
 def test_stop_leaves_no_worker_thread(make_server):
     before = threading.active_count()
     server = make_server(Registry()).start()

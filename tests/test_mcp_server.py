@@ -127,10 +127,11 @@ def test_hostile_content_length_rejected_and_closed(native, status, content_leng
     server, _ = native
     client = _open(server)
     try:
-        got, body = raw_post(server.port, f"/messages?session_id={client.session_id}",
-                             content_lengths)
+        got, fields, body = raw_post(server.port, f"/messages?session_id={client.session_id}",
+                                     content_lengths)
         assert (got, body["error"]) == \
             (status, "BAD_CONTENT_LENGTH" if status == 400 else "BODY_TOO_LARGE")
+        assert fields["connection"] == "close"
         assert client.request("tools/list")["result"]["tools"]
     finally:
         client.close()

@@ -344,9 +344,10 @@ def test_large_card_streams_chunked(server, url):
 
 @pytest.mark.parametrize("status,content_lengths", HOSTILE_CONTENT_LENGTHS)
 def test_hostile_content_length_rejected_and_closed(server, url, status, content_lengths):
-    got, body = raw_post(server.port, "/edge", content_lengths)
+    got, fields, body = raw_post(server.port, "/edge", content_lengths)
     assert (got, body["error"]) == \
         (status, "BAD_CONTENT_LENGTH" if status == 400 else "BODY_TOO_LARGE")
+    assert fields["connection"] == "close"
     assert server.access_log[-1].status == status
     assert requests.get(f"{url}/health").status_code == 200
 
