@@ -133,8 +133,8 @@ HOSTILE_CONTENT_LENGTHS = [
 def raw_request(port: int, data: bytes) -> tuple[int, dict, bytes]:
     """Send ``data`` over a raw socket and read until the server closes the
     connection, so a server that keeps it open fails on the timeout. Returns
-    the final reply's status, its header fields (names lowercased) and its
-    body; interim 1xx heads are skipped."""
+    the first reply's status, its header fields (names lowercased) and the
+    bytes after its head."""
     with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
         try:
             sock.sendall(data)
@@ -143,8 +143,6 @@ def raw_request(port: int, data: bytes) -> tuple[int, dict, bytes]:
         reply = b""
         while chunk := sock.recv(65536):
             reply += chunk
-    while reply.startswith(b"HTTP/1.1 1"):
-        reply = reply.partition(b"\r\n\r\n")[2]
     head, _, body = reply.partition(b"\r\n\r\n")
     assert head, "connection closed without a reply"
     status_line, *lines = head.decode("latin-1").split("\r\n")
