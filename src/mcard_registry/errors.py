@@ -34,7 +34,7 @@ class InvalidPropertyError(ApiError):
 
 
 class WorkFailedError(ApiError):
-    """A mutation closure signalled failure; the store was rolled back."""
+    """A mutation closure raised ``cause``, not an ApiError; the store was rolled back."""
 
     code = "WORK_FAILED"
 

@@ -25,6 +25,7 @@ from datetime import datetime, timezone
 from typing import Any
 
 from .errors import (
+    ApiError,
     CorruptSnapshotError,
     EmptyLabelsError,
     DuplicateEdgeError,
@@ -270,8 +271,9 @@ class GraphStore:
         """Run ``work(tx)`` and commit its staged mutations atomically.
 
         On any failure (the closure raising, or commit-time validation such
-        as a dangling edge) the store is left exactly as before and a
-        WorkFailedError carrying the original exception is raised.
+        as a dangling edge) the store is left exactly as before. An ApiError
+        is re-raised as itself; any other exception is raised as a
+        WorkFailedError carrying it as ``cause``.
         """
         self._lock.acquire_write()
         tx = WriteTransaction(self)
@@ -282,7 +284,7 @@ class GraphStore:
             return result
         except BaseException as exc:
             tx.state = "rolled-back"
-            if isinstance(exc, WorkFailedError):
+            if isinstance(exc, ApiError):
                 raise
             raise WorkFailedError(f"mutation closure failed: {exc}", cause=exc) from exc
         finally:

@@ -17,7 +17,11 @@ Two backends expose the same surface (one resource, two tools): ``native``
 calls the registry in-process; ``layered`` forwards each call to a REST
 server and wraps the REST body verbatim, which is exactly the double
 serialization an adapter architecture pays. Each server has one backend,
-shared by all its sessions.
+shared by all its sessions. Both return REST's ``(status, body)``, errors
+included: a tool result sets ``isError`` for a status of 400 or more; a
+resource read answers 404 with -32010 and other failures with -32603 and
+REST's error body. Any exception while handling a message (REST unreachable,
+say) is answered with -32603 too, so every request with an id gets a reply.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from urllib.parse import parse_qs, quote, urlsplit
 
 from . import wire
 from .cards import _loads
-from .errors import ApiError, NotFoundError
+from .errors import ApiError
 from .registry import Registry
 from .rest import SOCKET_TIMEOUT_S, HttpService, JsonHandler
 
@@ -42,6 +46,7 @@ PARSE_ERROR = -32700
 INVALID_REQUEST = -32600
 METHOD_NOT_FOUND = -32601
 INVALID_PARAMS = -32602
+INTERNAL_ERROR = -32603
 NOT_INITIALIZED = -32002
 RESOURCE_NOT_FOUND = -32010
 
@@ -95,44 +100,38 @@ class McpConfig:
             raise ValueError("layered backend needs rest_base_url")
 
 
-class ToolOutcome:
-    """Backend result: the exact payload text plus the error flag."""
-
-    __slots__ = ("text", "is_error")
-
-    def __init__(self, text: str, is_error: bool):
-        self.text = text
-        self.is_error = is_error
+def _answer(status: int, encode, call, *args) -> tuple[int, str]:
+    """REST's ``(status, body)`` for one in-process registry call: ``status``
+    and the encoded result, or the ApiError's status and error body."""
+    try:
+        return status, wire.dumps(encode(call(*args)))
+    except ApiError as exc:
+        return exc.status, wire.dumps(exc.to_body())
 
 
 class NativeBackend:
+    """In-process backend: each operation returns what REST would answer."""
+
     def __init__(self, registry: Registry):
         self.registry = registry
 
-    def read_card(self, mc_id: str, auth: str | None) -> str:
-        agg = self.registry.retrieve_model_card(mc_id)  # NotFoundError propagates
-        return wire.dumps(wire.aggregated_to_jsonable(agg))
+    def read_card(self, mc_id: str, auth: str | None) -> tuple[int, str]:
+        return _answer(200, wire.aggregated_to_jsonable, self.registry.retrieve_model_card, mc_id)
 
-    def create_edge(self, source_id: str, target_id: str, auth: str | None) -> ToolOutcome:
-        try:
-            created = self.registry.create_edge(source_id, target_id)
-        except ApiError as exc:
-            return ToolOutcome(wire.dumps(exc.to_body()), True)
-        return ToolOutcome(wire.dumps(wire.edge_created_to_jsonable(created)), False)
+    def create_edge(self, source_id: str, target_id: str, auth: str | None) -> tuple[int, str]:
+        return _answer(201, wire.edge_created_to_jsonable, self.registry.create_edge,
+                       source_id, target_id)
 
-    def search(self, query: str, limit: int, auth: str | None) -> ToolOutcome:
-        try:
-            hits = self.registry.search_model_cards(query, limit)
-        except ApiError as exc:
-            return ToolOutcome(wire.dumps(exc.to_body()), True)
-        return ToolOutcome(wire.dumps(wire.search_hits_to_jsonable(hits)), False)
+    def search(self, query: str, limit: int, auth: str | None) -> tuple[int, str]:
+        return _answer(200, wire.search_hits_to_jsonable, self.registry.search_model_cards,
+                       query, limit)
 
     def close(self):
         pass
 
 
 class LayeredBackend:
-    """Adapter backend: one REST request per operation, body wrapped verbatim.
+    """Adapter backend: one REST request per operation, its (status, body) returned verbatim.
 
     All sessions share a lock-guarded stack of idle keep-alive connections:
     a request takes the newest one, or dials when none is idle, and puts it
@@ -175,25 +174,17 @@ class LayeredBackend:
                 raise
         with self._lock:
             self._idle.append(conn)
-        return resp.status, payload
+        return resp.status, payload.decode("utf-8")
 
-    def read_card(self, mc_id: str, auth: str | None) -> str:
-        status, payload = self._request("GET", f"/modelcard/{quote(mc_id)}", None, auth)
-        if status == 404:
-            raise NotFoundError(f"no model card {mc_id!r}")
-        if status != 200:
-            raise ApiError(f"REST backend returned {status}: {payload[:200]!r}")
-        return payload.decode("utf-8")
+    def read_card(self, mc_id: str, auth: str | None) -> tuple[int, str]:
+        return self._request("GET", f"/modelcard/{quote(mc_id)}", None, auth)
 
-    def create_edge(self, source_id: str, target_id: str, auth: str | None) -> ToolOutcome:
+    def create_edge(self, source_id: str, target_id: str, auth: str | None) -> tuple[int, str]:
         body = wire.dump_bytes({"source_id": source_id, "target_id": target_id})
-        status, payload = self._request("POST", "/edge", body, auth)
-        return ToolOutcome(payload.decode("utf-8"), status >= 400)
+        return self._request("POST", "/edge", body, auth)
 
-    def search(self, query: str, limit: int, auth: str | None) -> ToolOutcome:
-        path = f"/search?q={quote(query)}&limit={limit}"
-        status, payload = self._request("GET", path, None, auth)
-        return ToolOutcome(payload.decode("utf-8"), status >= 400)
+    def search(self, query: str, limit: int, auth: str | None) -> tuple[int, str]:
+        return self._request("GET", f"/search?q={quote(query)}&limit={limit}", None, auth)
 
     def close(self):
         with self._lock:
@@ -301,8 +292,11 @@ class McpServer(HttpService):
         msg_id = message.get("id")
         if msg_id is None:
             return None  # notification: processed silently, never answered
-        return self._dispatch(session, msg_id, message["method"],
-                              message.get("params") or {}, auth)
+        try:
+            return self._dispatch(session, msg_id, message["method"],
+                                  message.get("params") or {}, auth)
+        except Exception as exc:  # as REST's 500: the request still gets its reply
+            return _error_response(msg_id, INTERNAL_ERROR, f"{type(exc).__name__}: {exc}")
 
     def _dispatch(self, session: McpSession, msg_id, method: str, params, auth) -> dict:
         if not isinstance(params, dict):
@@ -335,10 +329,11 @@ class McpServer(HttpService):
         mc_id = uri[len("modelcard://"):]
         if not mc_id or "/" in mc_id:
             return _error_response(msg_id, INVALID_PARAMS, "uri must carry one path segment")
-        try:
-            text = self.backend.read_card(mc_id, auth)
-        except NotFoundError:
+        status, text = self.backend.read_card(mc_id, auth)
+        if status == 404:
             return _error_response(msg_id, RESOURCE_NOT_FOUND, "NOT_FOUND")
+        if status != 200:
+            return _error_response(msg_id, INTERNAL_ERROR, text)
         return _result_response(msg_id, {
             "contents": [{"uri": uri, "mimeType": "application/json", "text": text}],
         })
@@ -357,7 +352,7 @@ class McpServer(HttpService):
                 return _error_response(
                     msg_id, INVALID_PARAMS, "source_id and target_id must be strings"
                 )
-            outcome = self.backend.create_edge(source, target, auth)
+            status, text = self.backend.create_edge(source, target, auth)
         elif name == "search_model_cards":
             query = arguments.get("query")
             limit = arguments.get("limit", 10)
@@ -365,12 +360,12 @@ class McpServer(HttpService):
                 return _error_response(msg_id, INVALID_PARAMS, "query must be a string")
             if isinstance(limit, bool) or not isinstance(limit, int):
                 return _error_response(msg_id, INVALID_PARAMS, "limit must be an integer")
-            outcome = self.backend.search(query, limit, auth)
+            status, text = self.backend.search(query, limit, auth)
         else:
             return _error_response(msg_id, METHOD_NOT_FOUND, f"unknown tool {name!r}")
         return _result_response(msg_id, {
-            "content": [{"type": "text", "text": outcome.text}],
-            "isError": outcome.is_error,
+            "content": [{"type": "text", "text": text}],
+            "isError": status >= 400,
         })
 
 

@@ -21,14 +21,12 @@ from .cards import (
     infer_relationship_type,
 )
 from .errors import (
-    ApiError,
     DuplicateCardError,
     DuplicateEdgeError,
     DuplicateExperimentError,
     NodeNotFoundError,
     NotFoundError,
     SchemaViolationError,
-    WorkFailedError,
 )
 from .graphstore import ElementId, GraphStore, NodeRecord, WriteTransaction
 
@@ -71,12 +69,6 @@ def _properties(record) -> dict[str, Any]:
     }
 
 
-def _unwrap(exc: WorkFailedError) -> ApiError:
-    if isinstance(exc.cause, ApiError):
-        return exc.cause
-    return exc
-
-
 class Registry:
     def __init__(self, store: GraphStore | None = None):
         self.store = store if store is not None else GraphStore()
@@ -111,10 +103,7 @@ class Registry:
             for dep in doc.deployments:
                 self._append_deployment(tx, model_node, dep, pending_devices)
 
-        try:
-            self.store.atomic_write(work)
-        except WorkFailedError as exc:
-            raise _unwrap(exc) from exc.cause
+        self.store.atomic_write(work)
         return mc_id
 
     def _append_deployment(
@@ -233,12 +222,9 @@ class Registry:
             raise DuplicateEdgeError(f"{rel_type} edge {src} -> {dst} already exists")
         # stage 4: committed in one atomic write (re-checks uniqueness under
         # the writer lock so concurrent duplicates cannot slip through)
-        try:
-            edge = self.store.atomic_write(
-                lambda tx: tx.create_edge(src, dst, rel_type, ensure_unique=True)
-            )
-        except WorkFailedError as exc:
-            raise _unwrap(exc) from exc.cause
+        edge = self.store.atomic_write(
+            lambda tx: tx.create_edge(src, dst, rel_type, ensure_unique=True)
+        )
         return EdgeCreated(edge_id=edge, rel_type=rel_type, src=src, dst=dst)
 
     # --- dynamic-card events ---
@@ -255,12 +241,9 @@ class Registry:
 
     def record_deployment(self, mc_id: str, dep: DeploymentRecord) -> ElementId:
         model_node = self._card_model(mc_id).id
-        try:
-            return self.store.atomic_write(
-                lambda tx: self._append_deployment(tx, model_node, dep, {})
-            )
-        except WorkFailedError as exc:
-            raise _unwrap(exc) from exc.cause
+        return self.store.atomic_write(
+            lambda tx: self._append_deployment(tx, model_node, dep, {})
+        )
 
     def record_experiment(
         self, experiment_id: str, deployment_element_ids: list[str] | None = None
@@ -286,10 +269,7 @@ class Registry:
                 tx.create_edge(exp_node, dep_node, "INCLUDES")
             return exp_node
 
-        try:
-            return self.store.atomic_write(work)
-        except WorkFailedError as exc:
-            raise _unwrap(exc) from exc.cause
+        return self.store.atomic_write(work)
 
     # --- signposting ---
 

@@ -214,6 +214,7 @@ class JsonHandler(BaseHTTPRequestHandler):
         connection is closed, and False is returned.
         """
         self.close_connection = True
+        self.command = None  # as in the stdlib: a rejected head has no method
         parts = self.raw_requestline.decode("latin-1").rstrip("\r\n").split(" ")
         if len(parts) != 3 or not all(parts):
             return self._reject(400, "request line must be METHOD SP target SP HTTP/1.x")
@@ -271,15 +272,16 @@ class JsonHandler(BaseHTTPRequestHandler):
                head_only: bool = False) -> None:
         """The one reply writer: the head (with ``Connection: close`` when
         the connection closes after this reply) and then the body, framed by
-        Content-Length or, past ``CHUNK_THRESHOLD``, chunked. ``head_only``
-        writes the head without framing or body (HEAD, an event stream)."""
+        Content-Length or, past ``CHUNK_THRESHOLD``, chunked. The reply to
+        a HEAD request, and one with ``head_only`` (an event stream), is the
+        head alone, without framing or body."""
         fields = [("Server", self.server_version), ("Date", _http_date(int(time.time())))]
         if content_type:
             fields.append(("Content-Type", content_type))
         fields += extra_headers or ()
         if self.close_connection:
             fields.append(("Connection", "close"))
-        if head_only:
+        if head_only or self.command == "HEAD":
             self.wfile.write(_head(status, fields))
         elif len(body) > CHUNK_THRESHOLD:
             fields.append(("Transfer-Encoding", "chunked"))
@@ -294,9 +296,8 @@ class JsonHandler(BaseHTTPRequestHandler):
             if body:
                 self.wfile.write(body)
 
-    def _reply_json(self, status: int, obj, extra_headers=None, head_only=False):
-        self._reply(status, wire.dump_bytes(obj), "application/json",
-                    extra_headers, head_only)
+    def _reply_json(self, status: int, obj, extra_headers=None):
+        self._reply(status, wire.dump_bytes(obj), "application/json", extra_headers)
 
     def _read_body(self) -> bytes | None:
         """Read a request body framed by Content-Length (RFC 9112 section 6.3).
@@ -383,14 +384,13 @@ def _make_handler(server: RestServer):
         timeout = SOCKET_TIMEOUT_S
 
         def _reply(self, status: int, body: bytes, content_type: str,
-                   extra_headers: list[tuple[str, str]] | None = None,
-                   head_only: bool = False) -> None:
+                   extra_headers: list[tuple[str, str]] | None = None) -> None:
             # logged before any byte goes out: a client that has the body
             # must find its entry in the access log
             digest = hashlib.sha256(body).hexdigest() if config.log_body_hash else None
             server.record(AccessLogEntry(self.command, self.path, status,
-                                         0 if head_only else len(body), digest))
-            super()._reply(status, body, content_type, extra_headers, head_only)
+                                         0 if self.command == "HEAD" else len(body), digest))
+            super()._reply(status, body, content_type, extra_headers)
 
         def _authorized(self, path: str) -> bool:
             if config.bearer_token is None or path == "/health":
@@ -418,7 +418,7 @@ def _make_handler(server: RestServer):
         def _route(self, method: str):
             try:
                 path = unquote(self.url.path)
-                query = parse_qs(self.url.query)
+                query = parse_qs(self.url.query, keep_blank_values=True)
                 if method == "POST":
                     self._body = self._read_body()
                     if self._body is None:
@@ -437,7 +437,7 @@ def _make_handler(server: RestServer):
                 if path == "/experiment" and method == "POST":
                     return self._experiment()
                 if len(parts) == 2 and parts[0] == "modelcard" and method in ("GET", "HEAD"):
-                    return self._card(parts[1], head_only=method == "HEAD")
+                    return self._card(parts[1])
                 if len(parts) == 3 and parts[0] == "modelcard" and parts[2] == "linkset" \
                         and method == "GET":
                     return self._linkset(parts[1])
@@ -461,12 +461,11 @@ def _make_handler(server: RestServer):
             nodes, edges = registry.counts()
             self._reply_json(200, {"status": "ok", "node_count": nodes, "edge_count": edges})
 
-        def _card(self, mc_id: str, head_only: bool):
-            if head_only:
+        def _card(self, mc_id: str):
+            if self.command == "HEAD":
                 # lightweight: existence probe plus signposting headers only
                 linkset = registry.get_linkset(mc_id, server.base_url)
-                self._reply(200, b"", "application/json",
-                            [_link_header(linkset)], head_only=True)
+                self._reply(200, b"", "application/json", [_link_header(linkset)])
                 return
             agg = registry.retrieve_model_card(mc_id)
             model = agg.ai_model
@@ -482,9 +481,9 @@ def _make_handler(server: RestServer):
             self._reply(200, wire.dump_bytes(linkset_to_jsonable(linkset)), LINKSET_MEDIA_TYPE)
 
         def _search(self, query: dict):
-            if "q" not in query or not query["q"][0]:
+            if "q" not in query:  # a blank q is the registry's to judge
                 raise EmptyQueryError("query parameter q is required")
-            raw_limit = query.get("limit", ["10"])[0]
+            raw_limit = query.get("limit", [""])[0] or "10"
             try:
                 limit = int(raw_limit)
             except ValueError:

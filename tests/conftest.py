@@ -1,6 +1,8 @@
 import json
 import random
 import socket
+import socketserver
+import sys
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -183,6 +185,23 @@ def raw_json_post(port: int, path: str, body: bytes) -> tuple[int, dict]:
 @pytest.fixture
 def registry() -> Registry:
     return Registry()
+
+
+@pytest.fixture(autouse=True)
+def no_server_tracebacks(monkeypatch):
+    """Fail the test during which an exception reached a server's
+    ``handle_error`` (the "Exception occurred during processing of request"
+    traceback): the request it was serving got no reply."""
+    caught = []
+    handle_error = socketserver.BaseServer.handle_error
+
+    def recording(self, request, client_address):
+        caught.append(repr(sys.exc_info()[1]))
+        handle_error(self, request, client_address)
+
+    monkeypatch.setattr(socketserver.BaseServer, "handle_error", recording)
+    yield
+    assert not caught, f"a server thread raised while serving a request: {caught}"
 
 
 # detail strings recorded by the acceptance tests, printed by the hook below

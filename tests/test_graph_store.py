@@ -10,6 +10,7 @@ from mcard_registry.errors import (
     DuplicateExperimentError,
     EmptyLabelsError,
     FileIoError,
+    InvalidPropertyError,
     WorkFailedError,
 )
 from mcard_registry.fulltext import tokenize
@@ -27,9 +28,8 @@ def test_create_node_first_allocation():
 
 def test_create_node_empty_labels_rejected():
     store = GraphStore()
-    with pytest.raises(WorkFailedError) as excinfo:
+    with pytest.raises(EmptyLabelsError):
         store.create_node(set(), {"x": 1})
-    assert isinstance(excinfo.value.cause, EmptyLabelsError)
 
 
 def test_sequential_creates_get_distinct_ids():
@@ -66,7 +66,7 @@ def test_atomic_write_dangling_edge_rejected():
         a = tx.create_node({"A"}, {})
         tx.create_edge(a, node_id(999), "REL")
 
-    with pytest.raises(WorkFailedError):
+    with pytest.raises(InvalidPropertyError):
         store.atomic_write(work)
     assert store.node_count() == 0
     assert store.edge_count() == 0
@@ -394,7 +394,7 @@ def test_node_labels_with_edge_id_is_absent():
 
 def test_blank_label_rejected():
     store = GraphStore()
-    with pytest.raises(WorkFailedError):
+    with pytest.raises(EmptyLabelsError):
         store.create_node({"A", ""}, {})
 
 
@@ -451,7 +451,8 @@ def test_key_index_drops_rolled_back_nodes(label, key, failure):
             raise RuntimeError("boom")
         tx.create_edge(staged, node_id(404), "REL")
 
-    with pytest.raises(WorkFailedError):
+    expected = WorkFailedError if failure == "closure raises" else InvalidPropertyError
+    with pytest.raises(expected):
         store.atomic_write(work)
     assert store.find_nodes(label, {key: "staged-only"}) == []
     _assert_index_matches_scan(store, label, key)

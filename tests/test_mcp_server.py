@@ -1,5 +1,6 @@
 import json
 import random
+import socket
 import time
 
 import pytest
@@ -549,3 +550,99 @@ def test_mcp_unknown_get_path_is_404(native):
     assert resp.status == 404
     resp.read()
     conn.close()
+
+
+# --- failures: one error path ---
+
+@pytest.fixture(scope="module")
+def twin_stack():
+    """Native and layered MCP over one registry (layered through REST),
+    seeded with a card, an experiment and the INCLUDES edge between them."""
+    registry = Registry()
+    _, exp_element, dep_element = _seed(registry)
+    registry.create_edge(exp_element, dep_element)
+    rest = RestServer(registry, RestConfig()).start()
+    native = McpServer(McpConfig(heartbeat_seconds=0.2), registry).start()
+    layered = McpServer(McpConfig(backend="layered", rest_base_url=rest.base_url,
+                                  heartbeat_seconds=0.2)).start()
+    try:
+        yield native, layered, exp_element, dep_element
+    finally:
+        layered.stop()
+        native.stop()
+        rest.stop()
+
+
+# (tool, arguments built from the experiment and deployment element ids)
+FAILING_CALLS = [
+    pytest.param("search_model_cards", lambda exp, dep: {"query": ""}, id="empty-query"),
+    pytest.param("search_model_cards", lambda exp, dep: {"query": "  "}, id="blank-query"),
+    pytest.param("search_model_cards", lambda exp, dep: {"query": "classifier", "limit": 0},
+                 id="limit-0"),
+    pytest.param("create_edge", lambda exp, dep: {"source_id": "n:999999", "target_id": dep},
+                 id="unknown-id"),
+    pytest.param("create_edge", lambda exp, dep: {"source_id": "bogus", "target_id": dep},
+                 id="malformed-id"),
+    pytest.param("create_edge", lambda exp, dep: {"source_id": exp, "target_id": dep},
+                 id="duplicate-edge"),
+]
+
+
+@pytest.mark.parametrize("tool,arguments", FAILING_CALLS)
+def test_native_and_layered_send_equal_error_text(twin_stack, tool, arguments):
+    native, layered, exp_element, dep_element = twin_stack
+    answers = []
+    for server in (native, layered):
+        client = _open(server)
+        try:
+            _, text, is_error = client.call_tool(tool, arguments(exp_element, dep_element))
+        finally:
+            client.close()
+        answers.append((text, is_error))
+    assert answers[0] == answers[1]
+    assert answers[0][1] is True
+
+
+def _layered_over(rest_base_url: str) -> McpServer:
+    return McpServer(McpConfig(backend="layered", rest_base_url=rest_base_url,
+                               heartbeat_seconds=0.2)).start()
+
+
+def test_layered_read_refused_by_rest_gets_internal_error():
+    registry = Registry()
+    mc_id, _, _ = _seed(registry)
+    rest = RestServer(registry, RestConfig(bearer_token="sesame")).start()
+    mcp = _layered_over(rest.base_url)
+    client = _open(mcp)
+    try:
+        status = client.post_raw({"jsonrpc": "2.0", "id": "read", "method": "resources/read",
+                                  "params": {"uri": f"modelcard://{mc_id}"}})
+        assert status == 202
+        error = client.wait_response("read")["error"]
+        assert error["code"] == -32603
+        assert "UNAUTHORIZED" in error["message"]
+    finally:
+        client.close()
+        mcp.stop()
+        rest.stop()
+
+
+def test_layered_with_rest_unreachable_answers_every_request():
+    with socket.socket() as sock:  # a port no one listens on: connections are refused
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    mcp = _layered_over(f"http://127.0.0.1:{port}")
+    client = _open(mcp)
+    try:
+        for msg_id, method, params in (
+            ("read", "resources/read", {"uri": "modelcard://a-b-1"}),
+            ("call", "tools/call", {"name": "search_model_cards",
+                                    "arguments": {"query": "classifier"}}),
+        ):
+            status = client.post_raw({"jsonrpc": "2.0", "id": msg_id, "method": method,
+                                      "params": params})
+            assert status == 202
+            assert client.wait_response(msg_id)["error"]["code"] == -32603
+    finally:
+        client.close()
+        mcp.stop()

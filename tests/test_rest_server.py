@@ -20,6 +20,7 @@ from conftest import (
     ingest_dict,
     raw_json_post,
     raw_post,
+    raw_request,
 )
 
 
@@ -91,6 +92,27 @@ def test_head_absent_card(server, url):
     resp = requests.head(f"{url}/modelcard/none-none-0")
     assert resp.status_code == 404
     assert "Link" not in resp.headers
+
+
+def test_failed_head_sends_no_body_on_kept_alive_connection(server):
+    """A HEAD reply is its head alone, even for an error: a body after it
+    would be read as the start of the next reply on the connection."""
+    status, _, rest = raw_request(server.port,
+                                  b"HEAD /modelcard/missing HTTP/1.1\r\nHost: x\r\n\r\n"
+                                  b"GET /health HTTP/1.1\r\nConnection: close\r\n\r\n")
+    assert status == 404
+    second_head, _, body = rest.partition(b"\r\n\r\n")
+    assert second_head.startswith(b"HTTP/1.1 200 ")
+    assert json.loads(body)["status"] == "ok"
+
+
+def test_head_rejected_after_a_head_request_keeps_its_error_body(server):
+    status, _, rest = raw_request(server.port, b"HEAD /health HTTP/1.1\r\nHost: x\r\n\r\n"
+                                               b"GET /health HTTP/1.2\r\n\r\n")
+    assert status == 404
+    second_head, _, body = rest.partition(b"\r\n\r\n")
+    assert second_head.startswith(b"HTTP/1.1 400 ")
+    assert json.loads(body)["error"] == "BAD_REQUEST"
 
 
 def test_head_get_header_parity(server, url):
@@ -165,6 +187,17 @@ def test_search_missing_q(server, url):
     resp = requests.get(f"{url}/search")
     assert resp.status_code == 400
     assert resp.json()["error"] == "EMPTY_QUERY"
+
+
+def test_search_blank_q_reaches_the_registry(server, url):
+    _seed_card(server)
+    for query in ("q=", "q=%20%20"):
+        resp = requests.get(f"{url}/search?{query}")
+        assert (resp.status_code, resp.json()) == (400, {
+            "error": "EMPTY_QUERY", "detail": "query contains no indexable terms"})
+    resp = requests.get(f"{url}/search?q=classifier&limit=")
+    assert resp.status_code == 200
+    assert [hit["mc_id"] for hit in resp.json()] == ["jdoe-resnet-1.0"]
 
 
 def test_search_limit_zero(server, url):
