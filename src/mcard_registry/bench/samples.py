@@ -18,7 +18,6 @@ from typing import Any
 from ..errors import FileIoError
 
 TARGETS = ("rest", "native_mcp", "layered_mcp")
-OPERATIONS = ("retrieve", "create_edge", "search")
 
 COMPONENTS = ("connection_setup_ms", "sse_handshake_ms", "server_processing_ms", "total_ms")
 

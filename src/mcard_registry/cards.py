@@ -445,32 +445,23 @@ class LinkSet:
     links: tuple[LinkEntry, ...]
 
 
-def build_linkset_from_fields(
-    mc_id: str,
-    artifact_location: str,
-    container_image_location: str | None,
-    base_url: str,
-) -> LinkSet:
+def build_linkset_from_fields(mc_id: str, model: dict, base_url: str) -> LinkSet:
+    """Card ``mc_id``'s linkset from its model's field mapping."""
     if not is_absolute_url(base_url):
         raise ValueError(f"base_url must be absolute, got {base_url!r}")
     anchor = f"{base_url.rstrip('/')}/modelcard/{mc_id}"
     links = [
         LinkEntry(anchor, "cite-as"),
         LinkEntry(anchor, "describedby", "application/json"),
-        LinkEntry(artifact_location, "item"),
+        LinkEntry(model["artifact_location"], "item"),
     ]
-    if container_image_location:
-        links.append(LinkEntry(container_image_location, "item"))
+    if model.get("container_image_location"):
+        links.append(LinkEntry(model["container_image_location"], "item"))
     return LinkSet(anchor=anchor, links=tuple(links))
 
 
 def build_linkset(doc: ModelCardDocument, base_url: str) -> LinkSet:
-    return build_linkset_from_fields(
-        doc.external_id,
-        doc.ai_model.artifact_location,
-        doc.ai_model.container_image_location,
-        base_url,
-    )
+    return build_linkset_from_fields(doc.external_id, vars(doc.ai_model), base_url)
 
 
 def linkset_to_jsonable(linkset: LinkSet) -> dict:

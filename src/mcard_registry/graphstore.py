@@ -6,7 +6,9 @@ whole-store snapshot in line-delimited JSON; there is no write-ahead log.
 Element ordinals are allocated once per store lifetime and never reused,
 including after a rollback. Each label's identifying property (``KEY_FIELDS``)
 has an equality index, so looking a card, device or experiment up by its id
-costs the same at any store size.
+costs the same at any store size. Commits append in ordinal order and a
+snapshot load rejects an element out of it, so every map and index list is
+kept in ordinal order as it is written, and no read sorts.
 
 Records handed to callers are immutable copies: mutating them cannot affect
 the store, and they are safe to pass between threads.
@@ -307,9 +309,7 @@ class GraphStore:
         for rec in tx.pending_nodes:
             self._add_node(rec)
         for edge, _ in tx.pending_edges:
-            self._edges[edge.id.ordinal] = edge
-            self._out.setdefault(edge.src.ordinal, []).append(edge.id.ordinal)
-            self._in.setdefault(edge.dst.ordinal, []).append(edge.id.ordinal)
+            self._add_edge(edge)
 
     def _add_node(self, rec: NodeRecord) -> None:
         ordinal = rec.id.ordinal
@@ -322,6 +322,12 @@ class GraphStore:
             if value is not None and not isinstance(value, list):
                 self._by_key[label].setdefault(value, []).append(ordinal)
         self._maybe_index(rec)
+
+    def _add_edge(self, rec: EdgeRecord) -> None:
+        ordinal = rec.id.ordinal
+        self._edges[ordinal] = rec
+        self._out.setdefault(rec.src.ordinal, []).append(ordinal)
+        self._in.setdefault(rec.dst.ordinal, []).append(ordinal)
 
     def _maybe_index(self, rec: NodeRecord) -> None:
         fields: dict[str, str] = {}
@@ -384,15 +390,15 @@ class GraphStore:
             ordinals = self._key_lookup(label, filters)
             if ordinals is None:
                 ordinals = [
-                    ordinal for ordinal in sorted(self._labels.get(label, ()))
+                    ordinal for ordinal in self._labels.get(label, ())
                     if all(self._nodes[ordinal].properties.get(k) == v
                            for k, v in filters.items())
                 ]
             return [self._copy_node(self._nodes[ordinal]) for ordinal in ordinals]
 
     def _key_lookup(self, label: str, filters: dict[str, Any]) -> list[int] | None:
-        """Sorted ordinals from the equality index, or None when the filter is
-        not exactly the label's key with a hashable value."""
+        """Ordinals from the equality index, or None when the filter is not
+        exactly the label's key with a hashable value."""
         key = KEY_FIELDS.get(label)
         if key is None or len(filters) != 1 or key not in filters:
             return None
@@ -400,7 +406,7 @@ class GraphStore:
         if value is None:  # the scan matches every node that lacks the key
             return None
         try:
-            return sorted(self._by_key[label].get(value, ()))
+            return self._by_key[label].get(value, ())
         except TypeError:  # unhashable value
             return None
 
@@ -417,19 +423,20 @@ class GraphStore:
 
     def neighbors(
         self, node: ElementId, direction: str, rel_type: str | None = None
-    ) -> list[tuple[EdgeRecord, NodeRecord]]:
+    ) -> list[NodeRecord]:
+        """The nodes at the far end of ``node``'s ``direction`` edges (of
+        ``rel_type`` only, if given), in edge ordinal order."""
         if direction not in ("out", "in"):
             raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
         with self.read_session():
             adjacency = self._out if direction == "out" else self._in
-            pairs = []
-            for eord in sorted(adjacency.get(node.ordinal, ())):
+            found = []
+            for eord in adjacency.get(node.ordinal, ()):
                 edge = self._edges[eord]
-                if rel_type is not None and edge.rel_type != rel_type:
-                    continue
-                other = edge.dst if direction == "out" else edge.src
-                pairs.append((self._copy_edge(edge), self._copy_node(self._nodes[other.ordinal])))
-            return pairs
+                if rel_type is None or edge.rel_type == rel_type:
+                    other = edge.dst if direction == "out" else edge.src
+                    found.append(self._copy_node(self._nodes[other.ordinal]))
+            return found
 
     def _ranked_values(
         self, text: str, limit: int, label: str, keys: tuple[str, ...]
@@ -455,12 +462,12 @@ class GraphStore:
 
     def iter_nodes(self) -> Iterator[NodeRecord]:
         with self.read_session():
-            records = [self._copy_node(self._nodes[o]) for o in sorted(self._nodes)]
+            records = [self._copy_node(rec) for rec in self._nodes.values()]
         return iter(records)
 
     def iter_edges(self) -> Iterator[EdgeRecord]:
         with self.read_session():
-            records = [self._copy_edge(self._edges[o]) for o in sorted(self._edges)]
+            records = [self._copy_edge(rec) for rec in self._edges.values()]
         return iter(records)
 
     def _copy_node(self, rec: NodeRecord) -> NodeRecord:
@@ -494,59 +501,38 @@ class GraphStore:
     def snapshot_bytes(self) -> bytes:
         """Deterministic serialization; equal stores yield equal bytes."""
         with self.read_session():
-            lines = [
-                json.dumps(
-                    {
-                        "format": SNAPSHOT_FORMAT,
-                        "version": SNAPSHOT_VERSION,
-                        "next_node_ordinal": self._next_node_ordinal,
-                        "next_edge_ordinal": self._next_edge_ordinal,
-                    },
-                    sort_keys=True,
-                )
-            ]
-            for ordinal in sorted(self._nodes):
-                rec = self._nodes[ordinal]
-                lines.append(
-                    json.dumps(
-                        {
-                            "id": str(rec.id),
-                            "labels": sorted(rec.labels),
-                            "properties": _encode_props(rec.properties),
-                        },
-                        sort_keys=True,
-                        ensure_ascii=False,
-                    )
-                )
-            for ordinal in sorted(self._edges):
-                rec = self._edges[ordinal]
-                lines.append(
-                    json.dumps(
-                        {
-                            "id": str(rec.id),
-                            "src": str(rec.src),
-                            "dst": str(rec.dst),
-                            "rel_type": rec.rel_type,
-                            "properties": _encode_props(rec.properties),
-                        },
-                        sort_keys=True,
-                        ensure_ascii=False,
-                    )
-                )
+            header = {"format": SNAPSHOT_FORMAT, "version": SNAPSHOT_VERSION,
+                      "next_node_ordinal": self._next_node_ordinal,
+                      "next_edge_ordinal": self._next_edge_ordinal}
+            lines = [json.dumps(header, sort_keys=True)]
+            for rec in (*self._nodes.values(), *self._edges.values()):
+                obj = {"id": str(rec.id), "properties": _encode_props(rec.properties)}
+                if isinstance(rec, NodeRecord):
+                    obj["labels"] = sorted(rec.labels)
+                else:
+                    obj.update(src=str(rec.src), dst=str(rec.dst), rel_type=rec.rel_type)
+                lines.append(json.dumps(obj, sort_keys=True, ensure_ascii=False))
         return ("\n".join(lines) + "\n").encode("utf-8")
 
     @classmethod
     def snapshot_load(cls, path: str) -> "GraphStore":
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = fh.read()
+            with open(path, "rb") as fh:
+                data = fh.read()
         except OSError as exc:
             raise FileIoError(f"cannot read snapshot from {path}: {exc}") from exc
-        return cls.from_snapshot_bytes(raw.encode("utf-8"))
+        return cls.from_snapshot_bytes(data)
 
     @classmethod
     def from_snapshot_bytes(cls, data: bytes) -> "GraphStore":
-        lines = data.decode("utf-8").splitlines()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptSnapshotError(f"not UTF-8: {exc}") from exc
+        # records end at "\n" only: U+2028 and friends may sit raw in a string
+        lines = text.split("\n")
+        if lines[-1] == "":
+            lines.pop()
         if not lines:
             raise CorruptSnapshotError("empty snapshot")
         try:
@@ -582,15 +568,15 @@ class GraphStore:
         eid = ElementId.parse(obj["id"])
         props = _decode_props(obj["properties"])
         if eid.kind == "node":
-            if eid.ordinal in self._nodes or eid.ordinal >= self._next_node_ordinal:
-                raise ValueError(f"node ordinal {eid.ordinal} out of range or duplicated")
+            if not next(reversed(self._nodes), -1) < eid.ordinal < self._next_node_ordinal:
+                raise ValueError(f"node ordinal {eid.ordinal} out of order or out of range")
             rec = NodeRecord(eid, frozenset(obj["labels"]), props)
             if not rec.labels:
                 raise ValueError("node with empty label set")
             self._add_node(rec)
         else:
-            if eid.ordinal in self._edges or eid.ordinal >= self._next_edge_ordinal:
-                raise ValueError(f"edge ordinal {eid.ordinal} out of range or duplicated")
+            if not next(reversed(self._edges), -1) < eid.ordinal < self._next_edge_ordinal:
+                raise ValueError(f"edge ordinal {eid.ordinal} out of order or out of range")
             src = ElementId.parse(obj["src"])
             dst = ElementId.parse(obj["dst"])
             if src.ordinal not in self._nodes or dst.ordinal not in self._nodes:
@@ -598,9 +584,7 @@ class GraphStore:
             rec = EdgeRecord(eid, src, dst, obj["rel_type"], props)
             if not rec.rel_type:
                 raise ValueError("edge with empty rel_type")
-            self._edges[eid.ordinal] = rec
-            self._out.setdefault(src.ordinal, []).append(eid.ordinal)
-            self._in.setdefault(dst.ordinal, []).append(eid.ordinal)
+            self._add_edge(rec)
 
 
 def _encode_props(props: dict[str, Any]) -> dict[str, Any]:

@@ -128,6 +128,20 @@ class Registry:
 
     # --- retrieval ---
 
+    def _card(self, mc_id: str) -> NodeRecord:
+        """The ModelCard node of card ``mc_id``; NotFoundError if there is none."""
+        found = self.store.find_nodes("ModelCard", {"external_id": mc_id})
+        if not found:
+            raise NotFoundError(f"no model card {mc_id!r}")
+        return found[0]
+
+    def _model(self, card_id: ElementId, mc_id: str) -> NodeRecord:
+        """The Model node of the card at ``card_id``; NotFoundError if none."""
+        found = self.store.neighbors(card_id, "out", "HAS_MODEL")
+        if not found:
+            raise NotFoundError(f"card {mc_id!r} has no model node")
+        return found[0]
+
     def retrieve_model_card(self, mc_id: str) -> AggregatedCard:
         """Five-query aggregation under one read session, so the five queries
         see one state of the store; per-query wall time covers the query plus
@@ -142,25 +156,20 @@ class Registry:
                 return value
 
             def base_query():
-                found = self.store.find_nodes("ModelCard", {"external_id": mc_id})
-                if not found:
-                    raise NotFoundError(f"no model card {mc_id!r}")
-                return wire.project_node(found[0], wire.MODEL_CARD_FIELDS), found[0].id
+                card = self._card(mc_id)
+                return wire.project_node(card, wire.MODEL_CARD_FIELDS), card.id
 
-            card_map, card_node = timed("model_card", base_query)
+            card_map, card_id = timed("model_card", base_query)
 
             def model_query():
-                pairs = self.store.neighbors(card_node, "out", "HAS_MODEL")
-                if not pairs:
-                    raise NotFoundError(f"card {mc_id!r} has no model node")
-                record = pairs[0][1]
-                return wire.project_node(record, wire.MODEL_FIELDS), record.id
+                model = self._model(card_id, mc_id)
+                return wire.project_node(model, wire.MODEL_FIELDS), model.id
 
-            model_map, model_node = timed("model", model_query)
+            model_map, model_id = timed("model", model_query)
 
             def analysis_query(rel_type: str, order: tuple[str, ...]):
-                pairs = self.store.neighbors(card_node, "out", rel_type)
-                return wire.project_node(pairs[0][1], order) if pairs else None
+                found = self.store.neighbors(card_id, "out", rel_type)
+                return wire.project_node(found[0], order) if found else None
 
             bias_map = timed(
                 "bias_analysis", lambda: analysis_query("HAS_BIAS_ANALYSIS", wire.BIAS_FIELDS)
@@ -170,10 +179,9 @@ class Registry:
             )
 
             def deployments_query():
-                pairs = self.store.neighbors(model_node, "out", "HAS_DEPLOYMENT")
-                records = [rec for _, rec in pairs]
-                records.sort(
-                    key=lambda r: (r.properties["start_time"], r.properties["deployment_id"])
+                records = sorted(
+                    self.store.neighbors(model_id, "out", "HAS_DEPLOYMENT"),
+                    key=lambda r: (r.properties["start_time"], r.properties["deployment_id"]),
                 )
                 return [wire.project_node(rec, wire.DEPLOYMENT_FIELDS) for rec in records]
 
@@ -229,20 +237,10 @@ class Registry:
 
     # --- dynamic-card events ---
 
-    def _card_model(self, mc_id: str) -> NodeRecord:
-        """The Model node of card ``mc_id``; NotFoundError if either is missing."""
-        card = self.store.find_nodes("ModelCard", {"external_id": mc_id})
-        if not card:
-            raise NotFoundError(f"no model card {mc_id!r}")
-        pairs = self.store.neighbors(card[0].id, "out", "HAS_MODEL")
-        if not pairs:
-            raise NotFoundError(f"card {mc_id!r} has no model node")
-        return pairs[0][1]
-
     def record_deployment(self, mc_id: str, dep: DeploymentRecord) -> ElementId:
-        model_node = self._card_model(mc_id).id
+        model_id = self._model(self._card(mc_id).id, mc_id).id
         return self.store.atomic_write(
-            lambda tx: self._append_deployment(tx, model_node, dep, {})
+            lambda tx: self._append_deployment(tx, model_id, dep, {})
         )
 
     def record_experiment(
@@ -274,13 +272,8 @@ class Registry:
     # --- signposting ---
 
     def get_linkset(self, mc_id: str, base_url: str) -> cards.LinkSet:
-        model = self._card_model(mc_id).properties
-        return cards.build_linkset_from_fields(
-            mc_id,
-            model["artifact_location"],
-            model.get("container_image_location"),
-            base_url,
-        )
+        model = self._model(self._card(mc_id).id, mc_id)
+        return cards.build_linkset_from_fields(mc_id, model.properties, base_url)
 
     # --- plumbing for the frontends ---
 

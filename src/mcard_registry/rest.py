@@ -468,10 +468,7 @@ def _make_handler(server: RestServer):
                 self._reply(200, b"", "application/json", [_link_header(linkset)])
                 return
             agg = registry.retrieve_model_card(mc_id)
-            model = agg.ai_model
-            linkset = build_linkset_from_fields(mc_id, model["artifact_location"],
-                                                model.get("container_image_location"),
-                                                server.base_url)
+            linkset = build_linkset_from_fields(mc_id, agg.ai_model, server.base_url)
             total = sum(ms for _, ms in agg.query_timings)
             headers = [_link_header(linkset), ("X-DB-Time-Ms", f"{total:.2f}")]
             self._reply_json(200, wire.aggregated_to_jsonable(agg), headers)

@@ -74,21 +74,20 @@ class _TokenBucket:
 
 
 class _Exchange:
-    """Round-trip bookkeeping shared by the two pumps of one connection."""
+    """Round-trip bookkeeping of one connection, counted into its proxy's total."""
 
-    def __init__(self):
-        self.lock = threading.Lock()
+    def __init__(self, proxy: "WanProxy"):
+        self._proxy = proxy
         self.inbound_pending = False
-        self.round_trips = 1  # the connection handshake
 
     def on_client_data(self):
-        with self.lock:
+        with self._proxy._lock:
             self.inbound_pending = True
 
     def on_upstream_data(self):
-        with self.lock:
+        with self._proxy._lock:
             if self.inbound_pending:
-                self.round_trips += 1
+                self._proxy._round_trips += 1
                 self.inbound_pending = False
 
 
@@ -154,7 +153,8 @@ class WanProxy:
         self.upstream_addr = upstream_addr
         self._lock = threading.Lock()
         self._connections: list[tuple[socket.socket, socket.socket]] = []
-        self._exchanges: list[_Exchange] = []
+        self._connection_count = 0
+        self._round_trips = 0
         self._stopped = False
         try:
             self._listener = socket.create_server(listen_addr, backlog=64, reuse_port=False)
@@ -172,10 +172,7 @@ class WanProxy:
 
     def stats(self) -> dict:
         with self._lock:
-            return {
-                "connections": len(self._exchanges),
-                "round_trips": sum(e.round_trips for e in self._exchanges),
-            }
+            return {"connections": self._connection_count, "round_trips": self._round_trips}
 
     def stop(self) -> None:
         with self._lock:
@@ -195,9 +192,11 @@ class WanProxy:
         for client, upstream in connections:
             for sock in (client, upstream):
                 try:
-                    sock.close()
+                    # wake the pumps blocked in recv(), which close() alone does not
+                    sock.shutdown(socket.SHUT_RDWR)
                 except OSError:
                     pass
+                sock.close()
 
     def _accept_loop(self):
         while True:
@@ -223,14 +222,15 @@ class WanProxy:
         upstream.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         if delay_s:
             time.sleep(delay_s)
-        exchange = _Exchange()
+        exchange = _Exchange(self)
         with self._lock:
             if self._stopped:
                 client.close()
                 upstream.close()
                 return
             self._connections.append((client, upstream))
-            self._exchanges.append(exchange)
+            self._connection_count += 1
+            self._round_trips += 1  # the connection handshake
         rate = self.profile.bandwidth_bytes_per_s
         c2s = _Pump(client, upstream, delay_s,
                     _TokenBucket(rate) if rate else None, exchange.on_client_data, "c2s")

@@ -116,13 +116,16 @@ def test_neighbors_ordering_and_filters():
     store = GraphStore()
     model = store.create_node({"Model"}, {})
     deployments = [store.create_node({"Deployment"}, {"i": i}) for i in range(3)]
-    edges = [store.create_edge(model, d, "HAS_DEPLOYMENT") for d in deployments]
+    # edges in the reverse of node order: the result follows the edges
+    for d in reversed(deployments):
+        store.create_edge(model, d, "HAS_DEPLOYMENT")
     store.create_edge(model, deployments[0], "AUDITS")
     out = store.neighbors(model, "out", "HAS_DEPLOYMENT")
-    assert [e.id for e, _ in out] == edges
-    assert [n.id for _, n in out] == deployments
+    assert [n.id for n in out] == deployments[::-1]
+    assert [n.properties["i"] for n in out] == [2, 1, 0]
     assert store.neighbors(model, "in") == []
-    assert len(store.neighbors(model, "out")) == 4
+    assert [n.id for n in store.neighbors(model, "out")] == deployments[::-1] + deployments[:1]
+    assert [n.id for n in store.neighbors(deployments[0], "in")] == [model, model]
 
 
 def test_records_are_copies():
@@ -480,3 +483,118 @@ def test_registry_on_loaded_snapshot_rejects_duplicates():
         loaded.record_experiment("exp-1")
     ingest_dict(loaded, card_dict(name="other", deployments=[deployment_dict(1, device="shared")]))
     assert len(loaded.store.find_nodes("Device", {"device_id": "shared"})) == 1
+
+
+# --- snapshot line splitting and ordinal order ---
+
+def test_snapshot_survives_unicode_line_separators(tmp_path):
+    registry = Registry()
+    text = "line\u2028separator, paragraph\u2029separator, next\u0085line"
+    mc_id = ingest_dict(registry, card_dict(full_description=text, short_description=text))
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    registry.store.snapshot_save(str(first))
+    assert "\u2028".encode() in first.read_bytes()  # written raw, not escaped
+    loaded = GraphStore.snapshot_load(str(first))
+    loaded.snapshot_save(str(second))
+    assert first.read_bytes() == second.read_bytes()
+    assert Registry(loaded).retrieve_model_card(mc_id).model_card["full_description"] == text
+
+
+def test_snapshot_that_is_not_utf8_is_corrupt(tmp_path):
+    path = tmp_path / "snap.jsonl"
+    path.write_bytes(b"\xff\xfe" + _populated_store().snapshot_bytes())
+    with pytest.raises(CorruptSnapshotError):
+        GraphStore.snapshot_load(str(path))
+
+
+def test_snapshot_blank_line_inside_is_corrupt():
+    lines = _populated_store().snapshot_bytes().split(b"\n")
+    lines.insert(2, b"")
+    with pytest.raises(CorruptSnapshotError, match="blank line 3"):
+        GraphStore.from_snapshot_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("kind", ["n", "e"])
+def test_snapshot_out_of_order_element_is_corrupt(kind):
+    store = GraphStore()
+    a, b, c = (store.create_node({"A"}, {"i": i}) for i in range(3))
+    store.create_edge(a, b, "R")
+    store.create_edge(b, c, "R")
+    lines = store.snapshot_bytes().split(b"\n")
+    first, second = [i for i, line in enumerate(lines[1:-1], start=1)
+                     if json.loads(line)["id"].startswith(kind + ":")][:2]
+    lines[first], lines[second] = lines[second], lines[first]
+    with pytest.raises(CorruptSnapshotError, match="out of order"):
+        GraphStore.from_snapshot_bytes(b"\n".join(lines))
+
+
+ORDER_LABELS = ("ModelCard", "Device", "Model")
+ORDER_RELS = ("HAS_MODEL", "RUNS_ON")
+ORDER_VALUES = ("a", "b")
+
+_node_spec = st.tuples(
+    st.frozensets(st.sampled_from(ORDER_LABELS), min_size=1),
+    st.fixed_dictionaries({}, optional={
+        key: st.sampled_from(ORDER_VALUES) for key in ("external_id", "device_id", "k")
+    }),
+)
+_edge_spec = st.tuples(st.integers(0, 63), st.integers(0, 63), st.sampled_from(ORDER_RELS))
+_tx_spec = st.tuples(
+    st.booleans(), st.lists(_node_spec, max_size=3), st.lists(_edge_spec, max_size=3)
+)
+
+
+def _assert_reads_follow(store, nodes, edges):
+    """Every read of ``store`` against the reference: ``nodes`` maps each
+    committed node id to (labels, properties) in creation order, ``edges``
+    lists (id, src, dst, rel_type) in creation order."""
+    ids = list(nodes)
+    assert [(n.id, n.labels, n.properties) for n in store.iter_nodes()] == [
+        (i, *nodes[i]) for i in ids
+    ]
+    assert [(e.id, e.src, e.dst, e.rel_type) for e in store.iter_edges()] == edges
+    for label in ORDER_LABELS:
+        labelled = [i for i in ids if label in nodes[i][0]]
+        assert [n.id for n in store.find_nodes(label)] == labelled
+        for key in ("external_id", "device_id", "k"):  # key index and label scan
+            for value in ORDER_VALUES:
+                expected = [i for i in labelled if nodes[i][1].get(key) == value]
+                assert [n.id for n in store.find_nodes(label, {key: value})] == expected
+    for i in ids:
+        for rel in (None, *ORDER_RELS):
+            out = [dst for _, src, dst, r in edges if src == i and rel in (None, r)]
+            into = [src for _, src, dst, r in edges if dst == i and rel in (None, r)]
+            assert [n.id for n in store.neighbors(i, "out", rel)] == out
+            assert [n.id for n in store.neighbors(i, "in", rel)] == into
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_tx_spec, min_size=1, max_size=8), st.integers(0, 7))
+def test_reads_follow_creation_order_across_rollbacks_and_reload(steps, reload_at):
+    store = GraphStore()
+    nodes: dict[ElementId, tuple[frozenset, dict]] = {}
+    edges: list[tuple[ElementId, ElementId, ElementId, str]] = []
+    for step, (commit, node_specs, edge_specs) in enumerate(steps):
+        if step == reload_at % len(steps):
+            store = GraphStore.from_snapshot_bytes(store.snapshot_bytes())
+        staged_nodes: dict[ElementId, tuple[frozenset, dict]] = {}
+        staged_edges: list[tuple[ElementId, ElementId, ElementId, str]] = []
+
+        def work(tx):
+            for labels, props in node_specs:
+                staged_nodes[tx.create_node(labels, props)] = (labels, props)
+            ends = [*nodes, *staged_nodes]
+            for src, dst, rel in edge_specs if ends else ():
+                src, dst = ends[src % len(ends)], ends[dst % len(ends)]
+                staged_edges.append((tx.create_edge(src, dst, rel), src, dst, rel))
+            if not commit:
+                raise RuntimeError("roll back")
+
+        if commit:
+            store.atomic_write(work)
+            nodes.update(staged_nodes)
+            edges.extend(staged_edges)
+        else:
+            with pytest.raises(WorkFailedError):
+                store.atomic_write(work)
+        _assert_reads_follow(store, nodes, edges)

@@ -19,6 +19,8 @@ REQUIRED_SPANS = (
     "rest.request",
     "registry.Registry.retrieve_model_card",
     "graphstore.copy_record",
+    "graphstore.GraphStore.neighbors",
+    "graphstore.GraphStore.find_nodes",
     "graphstore.read_lock_wait",
     "mcpserver.sse_write",
 )

@@ -1,11 +1,14 @@
+import gc
 import hashlib
 import random
 import socket
+import sys
 import threading
 import time
 
 import pytest
 
+from mcard_registry import wanproxy
 from mcard_registry.wanproxy import BindFailedError, WanProfile, WanProxy
 
 
@@ -255,4 +258,47 @@ def test_teardown_propagates_to_upstream(echo):
         # the proxy notices the close and tears the pair down (stats keep history)
         assert proxy._connections == []
     finally:
+        proxy.stop()
+
+
+def test_stats_are_running_totals_that_keep_no_closed_connection(echo):
+    proxy = _proxied(echo, WanProfile(0.0))
+    try:
+        for _ in range(200):
+            with _connect(proxy.port) as sock:
+                assert _exchange(sock, b"ping") == b"ping"
+        assert proxy.stats() == {"connections": 200, "round_trips": 400}
+        deadline = time.time() + 5
+        while True:  # the last connection's pumps may still be winding down
+            gc.collect()
+            alive = sum(isinstance(o, wanproxy._Exchange) and o._proxy is proxy
+                        for o in gc.get_objects())
+            if not alive or time.time() > deadline:
+                break
+            time.sleep(0.05)
+        assert alive == 0
+    finally:
+        proxy.stop()
+
+
+def test_stats_lose_no_update_under_concurrent_connections(echo):
+    proxy = _proxied(echo, WanProfile(0.0))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+
+    def client():
+        for _ in range(25):
+            with _connect(proxy.port) as sock:
+                _exchange(sock, b"ping")
+
+    try:
+        clients = [threading.Thread(target=client) for _ in range(8)]
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in clients)
+        assert proxy.stats() == {"connections": 200, "round_trips": 400}
+    finally:
+        sys.setswitchinterval(interval)
         proxy.stop()
