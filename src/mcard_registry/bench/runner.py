@@ -1,17 +1,24 @@
 """Per-request latency measurement across the three server variants.
 
-One request is in flight at a time. Components are timed as contiguous
-monotonic-clock intervals, so their sum equals the measured total to float
-precision: connection setup is the TCP connect; the SSE handshake (MCP only)
-spans the GET /sse request through the initialize response; server
-processing spans the operation request through its fully received response.
-By default every sample opens fresh connections so connection costs show up
-in each one; --reuse-session keeps one session and charges setup and
-handshake to the first sample only.
+One request is in flight at a time, and every sample, warm-up included,
+takes one path. Components are contiguous monotonic-clock intervals, so
+their sum equals the measured total to float precision: connection setup is
+the TCP connect; the SSE handshake (MCP only) spans the GET /sse request
+through the initialize response; server processing spans the operation
+request through its fully received reply, which is checked after the clock
+stops.
+
+A sample opens a client only when it holds none. By default each sample
+opens and closes its own, so connection costs show up in each one;
+--reuse-session keeps it open, so the sample that opened it carries its
+setup and handshake, and the others read exactly 0.0 for both. A failed
+sample closes its client, which is never reused: the next sample opens a
+new one and carries that setup.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import time
 
@@ -19,6 +26,10 @@ from .clients import ClientError, McpClient, RestClient, rest_retrieve_path, res
 from .samples import LatencySample, RunResult
 
 _MS = 1e-6  # perf_counter_ns to milliseconds
+# last key of every retrieve body; an unescaped '"' cannot sit inside a JSON string
+_TIMINGS_KEY = ',"_timings":'
+# a failed reply: recorded in the run's errors, and its client is closed
+_FAILURES = (ClientError, OSError, http.client.HTTPException, ValueError)
 
 
 class WorkPlan:
@@ -54,103 +65,92 @@ class WorkPlan:
                 self.deployments[i // len(self.experiments)])
 
 
-def _db_time_from_payload(payload: bytes) -> float | None:
-    try:
-        timings = json.loads(payload).get("_timings")
-        return sum(t["ms"] for t in timings) if timings else None
-    except (ValueError, TypeError, KeyError):
-        return None
-
-
-def _rest_sample(endpoint, via, plan, i, conn: RestClient | None):
-    fresh = conn is None
-    t0 = time.perf_counter_ns()
-    if fresh:
-        client = RestClient(endpoint, via)
-        client.connect()
-        t1 = time.perf_counter_ns()
-    else:
-        client = conn
-        t1 = t0
+def _rest_send(client: RestClient, plan: WorkPlan, i: int):
     if plan.operation == "retrieve":
-        status, headers, body = client.request("GET", rest_retrieve_path(plan.args(i)))
-        db_time = float(headers["X-DB-Time-Ms"]) if "X-DB-Time-Ms" in headers else None
-    elif plan.operation == "search":
-        status, headers, body = client.request("GET", rest_search_path(plan.args(i)))
-        db_time = None
-    else:
-        src, dst = plan.args(i)
-        payload = json.dumps({"source_id": src, "target_id": dst}).encode()
-        status, headers, body = client.request("POST", "/edge", payload)
-        db_time = None
-    t2 = time.perf_counter_ns()
-    if fresh:
-        client.close()
+        return client.request("GET", rest_retrieve_path(plan.args(i)))
+    if plan.operation == "search":
+        return client.request("GET", rest_search_path(plan.args(i)))
+    src, dst = plan.args(i)
+    body = json.dumps({"source_id": src, "target_id": dst}).encode()
+    return client.request("POST", "/edge", body)
+
+
+def _rest_read(plan: WorkPlan, reply) -> tuple[int, float | None]:
+    status, headers, body = reply
     if status >= 400:
         raise ClientError(f"status {status}: {body[:200]!r}")
-    return LatencySample(
-        target="rest", operation=plan.operation, sample_idx=i,
-        connection_setup_ms=(t1 - t0) * _MS, sse_handshake_ms=0.0,
-        server_processing_ms=(t2 - t1) * _MS, total_ms=(t2 - t0) * _MS,
-        db_time_ms=db_time, payload_bytes=len(body),
-    )
+    db_time = float(headers["X-DB-Time-Ms"]) if "X-DB-Time-Ms" in headers else None
+    return len(body), db_time
 
 
-def _mcp_request_args(plan, i):
+def _mcp_send(client: McpClient, plan: WorkPlan, i: int):
     if plan.operation == "retrieve":
-        return "resources/read", {"uri": f"modelcard://{plan.args(i)}"}
-    if plan.operation == "search":
-        return "tools/call", {"name": "search_model_cards",
-                              "arguments": {"query": plan.args(i), "limit": 10}}
-    src, dst = plan.args(i)
-    return "tools/call", {"name": "create_edge",
-                          "arguments": {"source_id": src, "target_id": dst}}
+        method, params = "resources/read", {"uri": f"modelcard://{plan.args(i)}"}
+    elif plan.operation == "search":
+        method, params = "tools/call", {"name": "search_model_cards",
+                                        "arguments": {"query": plan.args(i), "limit": 10}}
+    else:
+        src, dst = plan.args(i)
+        method, params = "tools/call", {"name": "create_edge",
+                                        "arguments": {"source_id": src, "target_id": dst}}
+    return client.send_request(method, params), client.next_raw_event()
 
 
-def _mcp_extract(plan, message) -> tuple[str, float | None]:
-    """Pull the payload text out of a parsed response; raise on failures."""
+def _mcp_read(plan: WorkPlan, reply) -> tuple[int, float | None]:
+    msg_id, (name, data) = reply
+    if name != "message":
+        raise ClientError(f"unexpected event {name!r}")
+    message = json.loads(data)
+    if message.get("id") != msg_id:
+        raise ClientError(f"response id {message.get('id')!r} != request id {msg_id!r}")
     if "error" in message:
         raise ClientError(f"{plan.operation} failed: {message['error']}")
     result = message["result"]
     if plan.operation == "retrieve":
         text = result["contents"][0]["text"]
-        return text, _db_time_from_payload(text.encode("utf-8"))
+        return len(text.encode("utf-8")), _db_time(text)
     if result.get("isError"):
         raise ClientError(f"{plan.operation} failed: {result['content'][0]['text'][:200]}")
-    return result["content"][0]["text"], None
+    return len(result["content"][0]["text"].encode("utf-8")), None
 
 
-def _mcp_sample(target, endpoint, via, plan, i, session: McpClient | None):
-    fresh = session is None
-    if fresh:
-        client = McpClient(endpoint, via)
-        t0 = time.perf_counter_ns()
-        client.connect()
-        t1 = time.perf_counter_ns()
-        client.handshake()
-        t2 = time.perf_counter_ns()
-    else:
-        client = session
-        t0 = t1 = t2 = time.perf_counter_ns()
+def _db_time(text: str) -> float | None:
+    """Sum of a retrieve body's ``_timings``, decoded from the tail alone."""
+    cut = text.rfind(_TIMINGS_KEY)
+    if cut < 0:
+        return None
     try:
-        method, params = _mcp_request_args(plan, i)
-        msg_id = client.send_request(method, params)
-        name, data = client.next_raw_event()
-        t3 = time.perf_counter_ns()  # full response received; parse comes after
-        if name != "message":
-            raise ClientError(f"unexpected event {name!r}")
-        message = json.loads(data)
-        if message.get("id") != msg_id:
-            raise ClientError(f"response id {message.get('id')!r} != request id {msg_id!r}")
-        text, db_time = _mcp_extract(plan, message)
-    finally:
-        if fresh:
-            client.close()
+        timings, _ = json.JSONDecoder().raw_decode(text, cut + len(_TIMINGS_KEY))
+        return sum(t["ms"] for t in timings) if timings else None
+    except (ValueError, TypeError, KeyError):
+        return None
+
+
+# target -> (client class, send one operation, check and measure its reply)
+_PROTOCOLS = {
+    "rest": (RestClient, _rest_send, _rest_read),
+    "native_mcp": (McpClient, _mcp_send, _mcp_read),
+    "layered_mcp": (McpClient, _mcp_send, _mcp_read),
+}
+
+
+def _sample(target: str, client, opening: bool, plan: WorkPlan, i: int) -> LatencySample:
+    _, send, read = _PROTOCOLS[target]
+    t0 = t1 = t2 = time.perf_counter_ns()
+    if opening:
+        client.connect()
+        t1 = t2 = time.perf_counter_ns()
+        if isinstance(client, McpClient):
+            client.handshake()
+            t2 = time.perf_counter_ns()
+    reply = send(client, plan, i)
+    t3 = time.perf_counter_ns()  # full reply received; checks come after
+    payload_bytes, db_time = read(plan, reply)
     return LatencySample(
         target=target, operation=plan.operation, sample_idx=i,
         connection_setup_ms=(t1 - t0) * _MS, sse_handshake_ms=(t2 - t1) * _MS,
         server_processing_ms=(t3 - t2) * _MS, total_ms=(t3 - t0) * _MS,
-        db_time_ms=db_time, payload_bytes=len(text.encode("utf-8")),
+        db_time_ms=db_time, payload_bytes=payload_bytes,
     )
 
 
@@ -161,61 +161,37 @@ def run_bench(target: str, operation: str, n: int, endpoint: str, manifest: dict
 
     sample_offset shifts the work-plan index so separate create_edge runs
     against one store draw disjoint (experiment, deployment) pairs. warmup
-    runs that many unrecorded requests first, absorbing first-touch
-    allocation costs on large payloads.
+    runs that many unrecorded requests first, on fresh connections,
+    absorbing first-touch allocation costs on large payloads.
     """
-    if target not in ("rest", "native_mcp", "layered_mcp"):
+    if target not in _PROTOCOLS:
         raise ValueError(f"unknown target {target!r}")
+    client_cls = _PROTOCOLS[target][0]
     plan = WorkPlan(operation, manifest, index_offset=sample_offset)
-    if warmup and plan.operation != "create_edge":
-        for w in range(warmup):
-            try:
-                if target == "rest":
-                    _rest_sample(endpoint, via_proxy, plan, w, None)
-                else:
-                    _mcp_sample(target, endpoint, via_proxy, plan, w, None)
-            except (ClientError, OSError):
-                pass
-    samples: list[LatencySample] = []
-    errors: list[dict] = []
-    rest_conn: RestClient | None = None
-    mcp_session: McpClient | None = None
-    try:
-        if reuse_session:
-            if target == "rest":
-                rest_conn = RestClient(endpoint, via_proxy)
-                t0 = time.perf_counter_ns()
-                rest_conn.connect()
-                first_setup = (time.perf_counter_ns() - t0) * _MS
-            else:
-                mcp_session = McpClient(endpoint, via_proxy)
-                t0 = time.perf_counter_ns()
-                mcp_session.connect()
-                t1 = time.perf_counter_ns()
-                mcp_session.handshake()
-                first_setup = (t1 - t0) * _MS
-                first_handshake = (time.perf_counter_ns() - t1) * _MS
-        for i in range(n):
-            try:
-                if target == "rest":
-                    sample = _rest_sample(endpoint, via_proxy, plan, i, rest_conn)
-                else:
-                    sample = _mcp_sample(target, endpoint, via_proxy, plan, i, mcp_session)
-            except (ClientError, OSError) as exc:
-                errors.append({"sample_idx": i, "error": str(exc)})
-                continue
-            if reuse_session and i == 0:
-                sample.connection_setup_ms = first_setup
-                if target != "rest":
-                    sample.sse_handshake_ms = first_handshake
-                sample.total_ms = (sample.connection_setup_ms + sample.sse_handshake_ms
-                                   + sample.server_processing_ms)
-            samples.append(sample)
-    finally:
-        if rest_conn is not None:
-            rest_conn.close()
-        if mcp_session is not None:
-            mcp_session.close()
+
+    def _run(indices, reuse: bool) -> tuple[list[LatencySample], list[dict]]:
+        samples, errors, client = [], [], None
+        try:
+            for i in indices:
+                opening, keep = client is None, reuse
+                try:
+                    if opening:
+                        client = client_cls(endpoint, via_proxy)
+                    samples.append(_sample(target, client, opening, plan, i))
+                except _FAILURES as exc:
+                    errors.append({"sample_idx": i, "error": str(exc)})
+                    keep = False
+                if not keep and client is not None:
+                    client.close()
+                    client = None
+        finally:
+            if client is not None:
+                client.close()
+        return samples, errors
+
+    if plan.operation != "create_edge":  # a warm-up edge would use up a pair
+        _run(range(warmup), reuse=False)
+    samples, errors = _run(range(n), reuse_session)
     config = {
         "target": target,
         "operation": operation,
@@ -225,11 +201,7 @@ def run_bench(target: str, operation: str, n: int, endpoint: str, manifest: dict
         "reuse_session": reuse_session,
         "preset": manifest.get("preset"),
         "seed": manifest.get("seed"),
-        "card_size_class": _size_class(manifest),
+        "card_size_class": ("large" if max(manifest.get("card_sizes") or [0]) >= 1_000_000
+                            else "micro"),
     }
     return RunResult(config=config, samples=samples, errors=errors)
-
-
-def _size_class(manifest: dict) -> str:
-    sizes = manifest.get("card_sizes") or [0]
-    return "large" if max(sizes) >= 1_000_000 else "micro"

@@ -129,6 +129,19 @@ def _validate_properties(properties: Mapping[str, Any]) -> dict[str, Any]:
     return out
 
 
+def _checked_node(
+    labels: Sequence[str] | set[str], properties: Mapping[str, Any]
+) -> tuple[frozenset[str], dict[str, Any]]:
+    """A node's labels and properties as a commit or a snapshot load admits
+    them: at least one label, each a non-empty string, and valid properties."""
+    if isinstance(labels, str):  # would read as a set of one-letter labels
+        raise EmptyLabelsError(f"labels must be a collection of strings, got {labels!r}")
+    label_set = frozenset(labels)
+    if not label_set or any(not isinstance(l, str) or not l for l in label_set):
+        raise EmptyLabelsError("a node needs at least one non-empty label")
+    return label_set, _validate_properties(properties)
+
+
 def _copy_props(props: dict[str, Any]) -> dict[str, Any]:
     return {k: (list(v) if isinstance(v, list) else v) for k, v in props.items()}
 
@@ -222,10 +235,7 @@ class WriteTransaction:
 
     def create_node(self, labels: Sequence[str] | set[str], properties: Mapping[str, Any]) -> ElementId:
         self._check_open()
-        label_set = frozenset(labels)
-        if not label_set or any(not isinstance(l, str) or not l for l in label_set):
-            raise EmptyLabelsError("a node needs at least one non-empty label")
-        props = _validate_properties(properties)
+        label_set, props = _checked_node(labels, properties)
         nid = node_id(self._store._next_node_ordinal)
         self._store._next_node_ordinal += 1
         self.pending_nodes.append(NodeRecord(nid, label_set, props))
@@ -240,8 +250,6 @@ class WriteTransaction:
         ensure_unique: bool = False,
     ) -> ElementId:
         self._check_open()
-        if not rel_type:
-            raise InvalidPropertyError("rel_type must be non-empty")
         props = _validate_properties(properties or {})
         eid = edge_id(self._store._next_edge_ordinal)
         self._store._next_edge_ordinal += 1
@@ -295,13 +303,7 @@ class GraphStore:
     def _commit(self, tx: WriteTransaction) -> None:
         staged = {rec.id.ordinal for rec in tx.pending_nodes}
         for edge, ensure_unique in tx.pending_edges:
-            for endpoint, name in ((edge.src, "src"), (edge.dst, "dst")):
-                if endpoint.kind != "node" or (
-                    endpoint.ordinal not in self._nodes and endpoint.ordinal not in staged
-                ):
-                    raise InvalidPropertyError(
-                        f"edge {edge.id} {name} {endpoint} does not reference an existing node"
-                    )
+            self._check_edge(edge, staged)
             if ensure_unique and self._edge_exists_unlocked(edge.src, edge.dst, edge.rel_type):
                 raise DuplicateEdgeError(
                     f"{edge.rel_type} edge {edge.src} -> {edge.dst} already exists"
@@ -310,6 +312,19 @@ class GraphStore:
             self._add_node(rec)
         for edge, _ in tx.pending_edges:
             self._add_edge(edge)
+
+    def _check_edge(self, edge: EdgeRecord, staged: set[int]) -> None:
+        """An edge as a commit or a snapshot load admits it: a non-empty
+        string rel type, and two ends that are stored or ``staged`` nodes."""
+        if not isinstance(edge.rel_type, str) or not edge.rel_type:
+            raise InvalidPropertyError(f"edge {edge.id} rel_type must be a non-empty string")
+        for endpoint, name in ((edge.src, "src"), (edge.dst, "dst")):
+            if endpoint.kind != "node" or (
+                endpoint.ordinal not in self._nodes and endpoint.ordinal not in staged
+            ):
+                raise InvalidPropertyError(
+                    f"edge {edge.id} {name} {endpoint} does not reference an existing node"
+                )
 
     def _add_node(self, rec: NodeRecord) -> None:
         ordinal = rec.id.ordinal
@@ -560,7 +575,7 @@ class GraphStore:
                 raise CorruptSnapshotError(f"unreadable line {lineno}: {exc}") from exc
             try:
                 store._load_element(obj)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (ApiError, AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise CorruptSnapshotError(f"malformed element at line {lineno}: {exc}") from exc
         return store
 
@@ -570,20 +585,13 @@ class GraphStore:
         if eid.kind == "node":
             if not next(reversed(self._nodes), -1) < eid.ordinal < self._next_node_ordinal:
                 raise ValueError(f"node ordinal {eid.ordinal} out of order or out of range")
-            rec = NodeRecord(eid, frozenset(obj["labels"]), props)
-            if not rec.labels:
-                raise ValueError("node with empty label set")
-            self._add_node(rec)
+            self._add_node(NodeRecord(eid, *_checked_node(obj["labels"], props)))
         else:
             if not next(reversed(self._edges), -1) < eid.ordinal < self._next_edge_ordinal:
                 raise ValueError(f"edge ordinal {eid.ordinal} out of order or out of range")
-            src = ElementId.parse(obj["src"])
-            dst = ElementId.parse(obj["dst"])
-            if src.ordinal not in self._nodes or dst.ordinal not in self._nodes:
-                raise ValueError(f"edge {eid} references a missing node")
-            rec = EdgeRecord(eid, src, dst, obj["rel_type"], props)
-            if not rec.rel_type:
-                raise ValueError("edge with empty rel_type")
+            rec = EdgeRecord(eid, ElementId.parse(obj["src"]), ElementId.parse(obj["dst"]),
+                             obj["rel_type"], _validate_properties(props))
+            self._check_edge(rec, set())
             self._add_edge(rec)
 
 
@@ -606,7 +614,7 @@ def _decode_props(raw: dict[str, Any]) -> dict[str, Any]:
             out[key] = parse_timestamp(value["$ts"])
         else:
             out[key] = value
-    return _validate_properties(out)
+    return out
 
 
 def parse_timestamp(text: str) -> datetime:

@@ -209,20 +209,21 @@ class Registry:
 
     # --- edge pipeline ---
 
+    def _node(self, which: str, raw: str) -> tuple[ElementId, frozenset[str]]:
+        """The node an element id names, and its labels."""
+        try:
+            element_id = ElementId.parse(raw)
+        except ValueError:
+            raise NodeNotFoundError(which, f"{which} id {raw!r} names no node") from None
+        labels = self.store.node_labels(element_id)
+        if labels is None:
+            raise NodeNotFoundError(which, f"{which} node {raw} not found")
+        return element_id, labels
+
     def create_edge(self, src_element_id: str, dst_element_id: str) -> EdgeCreated:
         # stage 1: both nodes exist, labels fetched
-        endpoints = {}
-        for which, raw in (("src", src_element_id), ("dst", dst_element_id)):
-            try:
-                element_id = ElementId.parse(raw)
-            except ValueError:
-                raise NodeNotFoundError(which, f"{which} id {raw!r} names no node") from None
-            labels = self.store.node_labels(element_id)
-            if labels is None:
-                raise NodeNotFoundError(which, f"{which} node {raw} not found")
-            endpoints[which] = (element_id, labels)
-        src, src_labels = endpoints["src"]
-        dst, dst_labels = endpoints["dst"]
+        src, src_labels = self._node("src", src_element_id)
+        dst, dst_labels = self._node("dst", dst_element_id)
         # stage 2: relationship inferred from the label pair and validated
         rel_type = infer_relationship_type(src_labels, dst_labels)
         # stage 3: duplicate check
@@ -248,23 +249,19 @@ class Registry:
     ) -> ElementId:
         if not experiment_id or not experiment_id.strip():
             raise SchemaViolationError("experiment_id", "must be non-empty")
-        deployment_ids = []
+        targets: dict[ElementId, str] = {}
         for raw in deployment_element_ids or []:
-            try:
-                element_id = ElementId.parse(raw)
-            except ValueError:
-                raise NodeNotFoundError("deployment", f"{raw!r} names no node") from None
-            labels = self.store.node_labels(element_id)
-            if labels is None:
-                raise NodeNotFoundError("deployment", f"node {raw} not found")
-            deployment_ids.append(element_id)
+            element_id, labels = self._node("deployment", raw)
+            if element_id in targets:
+                raise SchemaViolationError("deployment_element_ids", f"repeats {raw}")
+            targets[element_id] = infer_relationship_type({"Experiment"}, labels)
 
         def work(tx: WriteTransaction) -> ElementId:
             if self.store.find_nodes("Experiment", {"experiment_id": experiment_id}):
                 raise DuplicateExperimentError(f"experiment {experiment_id} already recorded")
             exp_node = tx.create_node({"Experiment"}, {"experiment_id": experiment_id})
-            for dep_node in deployment_ids:
-                tx.create_edge(exp_node, dep_node, "INCLUDES")
+            for dep_node, rel_type in targets.items():
+                tx.create_edge(exp_node, dep_node, rel_type)
             return exp_node
 
         return self.store.atomic_write(work)

@@ -19,11 +19,7 @@ from .graphstore import GraphStore
 from .mcpserver import McpConfig, McpServer
 from .registry import Registry
 from .rest import RestConfig, RestServer
-
-
-def _addr(text: str) -> tuple[str, int]:
-    host, _, port = text.rpartition(":")
-    return host or "127.0.0.1", int(port)
+from .wanproxy import parse_addr
 
 
 def _registry(args) -> Registry:
@@ -37,7 +33,7 @@ def _registry(args) -> Registry:
 
 
 def _cmd_rest(args) -> int:
-    host, port = _addr(args.bind)
+    host, port = parse_addr(args.bind)
     registry = _registry(args)
     server = RestServer(registry, RestConfig(
         host=host, port=port, base_url=args.base_url, bearer_token=args.bearer_token,
@@ -47,7 +43,7 @@ def _cmd_rest(args) -> int:
 
 
 def _cmd_mcp(args) -> int:
-    host, port = _addr(args.bind)
+    host, port = parse_addr(args.bind)
     config = McpConfig(
         host=host, port=port, backend=args.backend, rest_base_url=args.rest_base,
         session_cap=args.session_cap, heartbeat_seconds=args.heartbeat_seconds,

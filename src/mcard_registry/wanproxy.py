@@ -49,11 +49,6 @@ class WanProfile:
             raise ValueError("bandwidth_bytes_per_s must be > 0")
 
 
-# Declared stand-in for the wide-area profile; calibrate against observed
-# connection-setup growth, it is not a measured figure.
-DEFAULT_WAN_PROFILE = WanProfile(one_way_delay_ms=30.0, name="wan-default")
-
-
 class _TokenBucket:
     """Capacity = one second of budget; starts empty."""
 
@@ -250,7 +245,8 @@ class WanProxy:
                 self._connections.remove((client, upstream))
 
 
-def _parse_addr(text: str) -> tuple[str, int]:
+def parse_addr(text: str) -> tuple[str, int]:
+    """``host:port`` as an address; an empty host means 127.0.0.1."""
     host, _, port = text.rpartition(":")
     return host or "127.0.0.1", int(port)
 
@@ -267,7 +263,7 @@ def main(argv=None) -> int:
                         help="per-direction bandwidth cap in bytes/s")
     args = parser.parse_args(argv)
     profile = WanProfile(args.delay_ms, args.bandwidth_bps, name="cli")
-    proxy = WanProxy(_parse_addr(args.listen), _parse_addr(args.upstream), profile).start()
+    proxy = WanProxy(parse_addr(args.listen), parse_addr(args.upstream), profile).start()
     print(f"wanproxy: {args.listen} -> {args.upstream} "
           f"delay {args.delay_ms} ms bandwidth {args.bandwidth_bps or 'unlimited'}")
     try:

@@ -1,5 +1,7 @@
 import json
 import random
+import socket
+import threading
 
 import pytest
 
@@ -208,6 +210,43 @@ def test_reuse_session_mode(stack):
         assert s.connection_setup_ms == 0.0
         assert s.sse_handshake_ms == 0.0
         assert s.server_processing_ms > 0
+
+
+@pytest.mark.parametrize("target", ["rest", "native_mcp"])
+def test_reuse_session_reopens_after_a_failed_sample(stack, target):
+    manifest = dict(stack["manifest"])
+    manifest["mc_ids"] = ["ghost-card-0", stack["manifest"]["mc_ids"][0]]
+    result = run_bench(target, "retrieve", 4, stack[target], manifest, reuse_session=True)
+    assert [e["sample_idx"] for e in result.errors] == [0, 2]
+    assert [s.sample_idx for s in result.samples] == [1, 3]
+    for s in result.samples:  # a failed sample's session is closed, so each reopens
+        assert s.connection_setup_ms > 0
+        if target == "rest":
+            assert s.sse_handshake_ms == 0.0
+        else:
+            assert s.sse_handshake_ms > 0
+
+
+def test_unparsable_rest_reply_is_recorded():
+    n = 3
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(10)
+
+        def answer_garbage():
+            for _ in range(n):
+                conn, _ = listener.accept()
+                with conn:
+                    conn.recv(65536)
+                    conn.sendall(b"garbage\r\n\r\n")
+
+        server = threading.Thread(target=answer_garbage, daemon=True)
+        server.start()
+        result = run_bench("rest", "retrieve", n, f"127.0.0.1:{listener.getsockname()[1]}",
+                           {"mc_ids": ["any-card"]})
+        server.join(timeout=10)
+    assert not server.is_alive()
+    assert result.samples == []
+    assert [e["sample_idx"] for e in result.errors] == list(range(n))
 
 
 def test_errors_recorded_and_excluded(stack):

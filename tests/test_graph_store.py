@@ -401,6 +401,13 @@ def test_blank_label_rejected():
         store.create_node({"A", ""}, {})
 
 
+def test_string_label_set_rejected():
+    store = GraphStore()
+    with pytest.raises(EmptyLabelsError):
+        store.create_node("Model", {})
+    assert store.node_count() == 0
+
+
 # --- identifying-property index ---
 
 KEYED_LABELS = sorted(KEY_FIELDS.items())
@@ -511,6 +518,28 @@ def test_snapshot_blank_line_inside_is_corrupt():
     lines = _populated_store().snapshot_bytes().split(b"\n")
     lines.insert(2, b"")
     with pytest.raises(CorruptSnapshotError, match="blank line 3"):
+        GraphStore.from_snapshot_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("kind,field,value", [
+    ("e", "src", "e:1"),  # an edge id where a node id belongs
+    ("n", "labels", [""]),
+    ("n", "labels", "Device"),
+    ("e", "rel_type", 5),
+    ("n", "properties", {"p": [{"a": 1}]}),  # a list may hold only scalars
+    ("n", "properties", 5),
+])
+def test_snapshot_element_a_commit_would_reject_is_corrupt(kind, field, value):
+    store = GraphStore()
+    a, b = store.create_node({"A"}, {}), store.create_node({"A"}, {})
+    store.create_edge(a, b, "R")
+    lines = store.snapshot_bytes().split(b"\n")
+    at = next(i for i, line in enumerate(lines[1:-1], start=1)
+              if json.loads(line)["id"].startswith(kind + ":"))
+    element = json.loads(lines[at])
+    element[field] = value
+    lines[at] = json.dumps(element).encode()
+    with pytest.raises(CorruptSnapshotError, match=f"malformed element at line {at + 1}"):
         GraphStore.from_snapshot_bytes(b"\n".join(lines))
 
 

@@ -298,6 +298,23 @@ def test_post_edge_missing_field(server, url):
     assert resp.status_code == 400
 
 
+@pytest.mark.parametrize("case", ["card id", "repeated id"])
+def test_post_experiment_takes_only_distinct_deployments(server, url, case):
+    mc_id = _seed_card(server, deployments=[deployment_dict(0)])
+    card = requests.get(f"{url}/modelcard/{mc_id}").json()
+    dep_element = card["deployments"][0]["element_id"]
+    first = card["model_card"]["element_id"] if case == "card id" else dep_element
+    before = server.registry.counts()
+    resp = requests.post(f"{url}/experiment", json={
+        "experiment_id": "exp-1", "deployment_element_ids": [first, dep_element]})
+    assert resp.status_code == 400
+    body = resp.json()
+    assert body["error"] == "SCHEMA_VIOLATION"
+    if case == "repeated id":
+        assert body["detail"] == f"deployment_element_ids: repeats {dep_element}"
+    assert server.registry.counts() == before
+
+
 # --- deployments ---
 
 def test_post_deployment(server, url):
