@@ -11,7 +11,7 @@ import math
 import re
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime
-from urllib.parse import urlparse
+from urllib.parse import quote, urlparse
 
 from .errors import (
     AmbiguousLabelError,
@@ -21,7 +21,7 @@ from .errors import (
     NoSchemaLabelError,
     SchemaViolationError,
 )
-from .graphstore import parse_timestamp, render_timestamp
+from .graphstore import parse_timestamp
 
 DOC_FORMAT_VERSION = "1.0"
 
@@ -48,7 +48,6 @@ SCHEMA_LABELS = frozenset(l for pair in SCHEMA_ADJACENCY for l in pair)
 # EdgeServer is accepted as an alias of Device at ingest and normalization.
 LABEL_ALIASES = {"EdgeServer": "Device"}
 
-LINKSET_RELS = frozenset({"cite-as", "describedby", "item", "collection", "type"})
 LINKSET_MEDIA_TYPE = "application/linkset+json"
 
 _WS_RUN = re.compile(r"\s+")
@@ -75,6 +74,8 @@ def compose_mc_id(author: str, model_name: str, version: str) -> ModelCardId:
         clean = _sanitize(raw)
         if not clean:
             raise EmptyComponentError(f"id component {name} is empty after trimming")
+        if "/" in clean:  # an id is one URL path segment
+            raise SchemaViolationError(name, "id component must not contain '/'")
         parts[name] = clean
     return ModelCardId(parts["author"], parts["model_name"], parts["version"])
 
@@ -82,9 +83,9 @@ def compose_mc_id(author: str, model_name: str, version: str) -> ModelCardId:
 # --- the card schema ---
 #
 # Each record below is the schema's single field table. Fields are declared
-# in wire order (the order the store's projections and the external document
-# emit them), and each schema field carries in its metadata the check that
-# validates and converts the JSON value found at its path. A field with
+# in wire order (the order the store's projections emit them), and each
+# field carries in its metadata the check that validates and converts the
+# JSON value found at its path. A field with
 # ``kw_only=True, default=None`` may be absent or null, which leaves it None,
 # without moving it from its wire position. A field with any other default
 # may be absent, which gives the default, but a null there fails its check.
@@ -274,17 +275,15 @@ class ModelCardDocument:
     xai_analysis: XAIAnalysis | None = _nested(_one(XAIAnalysis), default=None, kw_only=True)
     deployments: list[DeploymentRecord] = _nested(_deployments, default_factory=list)
     documentation_format_version: str = _field(_text, default=DOC_FORMAT_VERSION)
-    # unknown top-level keys, kept for round-trip; not part of the table
-    extras: dict = field(default_factory=dict)
 
 
-# record class -> one (name, check, required, optional) per schema field, in
-# wire order; a required field must be present, an optional one may be null
+# record class -> one (name, check, required, optional) per field, in wire
+# order; a required field must be present, an optional one may be null
 _TABLES = {
     cls: tuple(
         (f.name, f.metadata["check"],
          f.default is MISSING and f.default_factory is MISSING, f.default is None)
-        for f in fields(cls) if "check" in f.metadata
+        for f in fields(cls)
     )
     for cls in (Feature, AIModelInfo, BiasAnalysis, XAIAnalysis, DeploymentRecord,
                 ModelCardDocument)
@@ -292,12 +291,9 @@ _TABLES = {
 
 # record class -> the fields its node stores as properties, in wire order
 PROPERTY_FIELDS: dict[type, tuple[str, ...]] = {
-    cls: tuple(f.name for f in fields(cls)
-               if "check" in f.metadata and not f.metadata.get("nested"))
+    cls: tuple(f.name for f in fields(cls) if not f.metadata.get("nested"))
     for cls in _TABLES
 }
-
-_KNOWN_TOP_KEYS = frozenset(name for name, *_ in _TABLES[ModelCardDocument])
 
 
 def _record(cls, obj, where: str):
@@ -358,10 +354,7 @@ def parse_deployment(obj, where: str = "deployment.") -> DeploymentRecord:
 
 def parse_model_card(data: bytes | str) -> ModelCardDocument:
     """Validate an external card document and build the typed form.
-
-    Unknown top-level keys survive in ``extras`` so serialize(parse(x))
-    loses nothing the producer added.
-    """
+    Unknown top-level keys are ignored."""
     try:
         obj = _loads(data)
     except UnicodeDecodeError as exc:
@@ -376,31 +369,7 @@ def parse_model_card(data: bytes | str) -> ModelCardDocument:
         raise IdMismatchError(
             f"external_id {doc.external_id!r} does not match composed id {expected!r}"
         )
-    doc.extras = {k: v for k, v in obj.items() if k not in _KNOWN_TOP_KEYS}
     return doc
-
-
-def _jsonable(value):
-    table = _TABLES.get(type(value))
-    if table is not None:
-        return {name: _jsonable(v) for name, *_ in table
-                if (v := getattr(value, name)) is not None}
-    if isinstance(value, list):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, datetime):
-        return render_timestamp(value)
-    return value
-
-
-def document_to_jsonable(doc: ModelCardDocument) -> dict:
-    """External JSON form: the fields in wire order, then unknown top-level keys."""
-    out = _jsonable(doc)
-    out.update(doc.extras)
-    return out
-
-
-def serialize_model_card(doc: ModelCardDocument) -> bytes:
-    return json.dumps(document_to_jsonable(doc), ensure_ascii=False, separators=(",", ":")).encode("utf-8")
 
 
 # --- relationship inference ---
@@ -445,11 +414,16 @@ class LinkSet:
     links: tuple[LinkEntry, ...]
 
 
+def card_url(base_url: str, mc_id: str) -> str:
+    """Card ``mc_id``'s URL under ``base_url``, the id percent-encoded."""
+    return f"{base_url.rstrip('/')}/modelcard/{quote(mc_id, safe='')}"
+
+
 def build_linkset_from_fields(mc_id: str, model: dict, base_url: str) -> LinkSet:
     """Card ``mc_id``'s linkset from its model's field mapping."""
     if not is_absolute_url(base_url):
         raise ValueError(f"base_url must be absolute, got {base_url!r}")
-    anchor = f"{base_url.rstrip('/')}/modelcard/{mc_id}"
+    anchor = card_url(base_url, mc_id)
     links = [
         LinkEntry(anchor, "cite-as"),
         LinkEntry(anchor, "describedby", "application/json"),
@@ -458,10 +432,6 @@ def build_linkset_from_fields(mc_id: str, model: dict, base_url: str) -> LinkSet
     if model.get("container_image_location"):
         links.append(LinkEntry(model["container_image_location"], "item"))
     return LinkSet(anchor=anchor, links=tuple(links))
-
-
-def build_linkset(doc: ModelCardDocument, base_url: str) -> LinkSet:
-    return build_linkset_from_fields(doc.external_id, vars(doc.ai_model), base_url)
 
 
 def linkset_to_jsonable(linkset: LinkSet) -> dict:

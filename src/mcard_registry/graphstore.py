@@ -1,8 +1,8 @@
 """Embedded, transactional property-graph engine.
 
-Storage is in-memory maps (id -> node, id -> edge, label -> ids, adjacency
-lists) guarded by a single-writer / multi-reader lock. Persistence is a
-whole-store snapshot in line-delimited JSON; there is no write-ahead log.
+Storage is in-memory maps (id -> node, id -> edge, label -> ids, node ->
+outgoing edges) guarded by a single-writer / multi-reader lock. Persistence
+is a whole-store snapshot in line-delimited JSON; there is no write-ahead log.
 Element ordinals are allocated once per store lifetime and never reused,
 including after a rollback. Each label's identifying property (``KEY_FIELDS``)
 has an equality index, so looking a card, device or experiment up by its id
@@ -56,7 +56,7 @@ KEY_FIELDS: dict[str, str] = {
 _SCALAR_TYPES = (str, int, float, bool)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElementId:
     kind: str  # "node" or "edge"
     ordinal: int
@@ -80,14 +80,14 @@ def edge_id(ordinal: int) -> ElementId:
     return ElementId("edge", ordinal)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeRecord:
     id: ElementId
     labels: frozenset[str]
     properties: dict[str, Any]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeRecord:
     id: ElementId
     src: ElementId
@@ -268,7 +268,6 @@ class GraphStore:
         self._edges: dict[int, EdgeRecord] = {}
         self._labels: dict[str, list[int]] = {}
         self._out: dict[int, list[int]] = {}
-        self._in: dict[int, list[int]] = {}
         self._next_node_ordinal = 1
         self._next_edge_ordinal = 1
         self._index = FullTextIndex()
@@ -342,7 +341,6 @@ class GraphStore:
         ordinal = rec.id.ordinal
         self._edges[ordinal] = rec
         self._out.setdefault(rec.src.ordinal, []).append(ordinal)
-        self._in.setdefault(rec.dst.ordinal, []).append(ordinal)
 
     def _maybe_index(self, rec: NodeRecord) -> None:
         fields: dict[str, str] = {}
@@ -380,13 +378,6 @@ class GraphStore:
     def read_session(self) -> _ReadSession:
         """Hold the read lock across several queries (one-session retrieval)."""
         return _ReadSession(self._lock)
-
-    def get_node(self, element_id: ElementId) -> NodeRecord | None:
-        with self.read_session():
-            if element_id.kind != "node":
-                return None
-            rec = self._nodes.get(element_id.ordinal)
-            return self._copy_node(rec) if rec else None
 
     def node_labels(self, element_id: ElementId) -> frozenset[str] | None:
         with self.read_session():
@@ -436,22 +427,13 @@ class GraphStore:
                 return True
         return False
 
-    def neighbors(
-        self, node: ElementId, direction: str, rel_type: str | None = None
-    ) -> list[NodeRecord]:
-        """The nodes at the far end of ``node``'s ``direction`` edges (of
-        ``rel_type`` only, if given), in edge ordinal order."""
-        if direction not in ("out", "in"):
-            raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
+    def neighbors(self, node: ElementId, rel_type: str) -> list[NodeRecord]:
+        """The targets of ``node``'s outgoing ``rel_type`` edges, in edge
+        ordinal order."""
         with self.read_session():
-            adjacency = self._out if direction == "out" else self._in
-            found = []
-            for eord in adjacency.get(node.ordinal, ()):
-                edge = self._edges[eord]
-                if rel_type is None or edge.rel_type == rel_type:
-                    other = edge.dst if direction == "out" else edge.src
-                    found.append(self._copy_node(self._nodes[other.ordinal]))
-            return found
+            edges = (self._edges[eord] for eord in self._out.get(node.ordinal, ()))
+            return [self._copy_node(self._nodes[edge.dst.ordinal]) for edge in edges
+                    if edge.rel_type == rel_type]
 
     def _ranked_values(
         self, text: str, limit: int, label: str, keys: tuple[str, ...]

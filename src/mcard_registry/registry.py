@@ -137,7 +137,7 @@ class Registry:
 
     def _model(self, card_id: ElementId, mc_id: str) -> NodeRecord:
         """The Model node of the card at ``card_id``; NotFoundError if none."""
-        found = self.store.neighbors(card_id, "out", "HAS_MODEL")
+        found = self.store.neighbors(card_id, "HAS_MODEL")
         if not found:
             raise NotFoundError(f"card {mc_id!r} has no model node")
         return found[0]
@@ -168,7 +168,7 @@ class Registry:
             model_map, model_id = timed("model", model_query)
 
             def analysis_query(rel_type: str, order: tuple[str, ...]):
-                found = self.store.neighbors(card_id, "out", rel_type)
+                found = self.store.neighbors(card_id, rel_type)
                 return wire.project_node(found[0], order) if found else None
 
             bias_map = timed(
@@ -180,7 +180,7 @@ class Registry:
 
             def deployments_query():
                 records = sorted(
-                    self.store.neighbors(model_id, "out", "HAS_DEPLOYMENT"),
+                    self.store.neighbors(model_id, "HAS_DEPLOYMENT"),
                     key=lambda r: (r.properties["start_time"], r.properties["deployment_id"]),
                 )
                 return [wire.project_node(rec, wire.DEPLOYMENT_FIELDS) for rec in records]

@@ -12,23 +12,22 @@ out chunked so multi-megabyte cards stream on keep-alive connections.
 Connections run on reused worker threads, at most ``CONNECTION_CAP`` at
 once (past it a new connection gets a 503), and a connection that sends
 nothing for ``SOCKET_TIMEOUT_S`` is closed. Writes are buffered, so headers
-and a small body leave in one send. An in-memory access log records one
-entry per request and keeps the newest ``ACCESS_LOG_CAP``; the layered MCP
-backend's one-REST-call-per-operation contract is checked against it. The MCP
-frontend runs on the same HTTP core: the worker pool, ``JsonHandler`` (head
-parser, reply writer, JSON replies, and request bodies capped at
-``MAX_BODY_BYTES``) and ``HttpService`` (start and stop).
+and a small body leave in one send. Card URLs in ``Location`` and ``Link``
+carry the card id percent-encoded (``cards.card_url``). A bearer token is
+compared as raw octets in constant time. The MCP frontend runs on the same
+HTTP core: the worker pool, ``JsonHandler`` (head parser, reply writer, JSON
+replies, and request bodies capped at ``MAX_BODY_BYTES``) and
+``HttpService`` (start and stop).
 """
 
 from __future__ import annotations
 
-import hashlib
+import hmac
 import queue
 import re
 import sys
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from email.utils import formatdate
 from functools import lru_cache
@@ -43,6 +42,7 @@ from .cards import (
     LinkSet,
     _loads,
     build_linkset_from_fields,
+    card_url,
     linkset_to_jsonable,
     parse_deployment,
     parse_model_card,
@@ -54,7 +54,6 @@ from .registry import Registry
 CHUNK_THRESHOLD = 1024 * 1024
 CHUNK_SIZE = 64 * 1024
 MAX_BODY_BYTES = 64 * 1024 * 1024
-ACCESS_LOG_CAP = 4096  # entries; older ones are dropped
 # open connections per server: at least two per MCP session (stream and
 # POSTs) at the default session cap of 256, plus headroom
 CONNECTION_CAP = 1024
@@ -176,16 +175,6 @@ class RestConfig:
     port: int = 0
     base_url: str | None = None  # derived from the bound address when unset
     bearer_token: str | None = None
-    log_body_hash: bool = False
-
-
-@dataclass(slots=True)
-class AccessLogEntry:
-    method: str
-    path: str
-    status: int
-    body_len: int
-    body_sha256: str | None = None
 
 
 class JsonHandler(BaseHTTPRequestHandler):
@@ -259,8 +248,7 @@ class JsonHandler(BaseHTTPRequestHandler):
 
     def send_error(self, code: int, message: str | None = None, explain=None) -> None:
         """Answer a request head that cannot be served with a JSON error and
-        close the connection. Not recorded in the REST access log: the
-        request may have no method or path."""
+        close the connection."""
         status = HTTPStatus(code)
         self.close_connection = True
         JsonHandler._reply(self, code, wire.dump_bytes({"error": status.name,
@@ -354,8 +342,6 @@ class RestServer(HttpService):
     def __init__(self, registry: Registry, config: RestConfig | None = None):
         self.registry = registry
         self.config = config or RestConfig()
-        self._log: deque[AccessLogEntry] = deque(maxlen=ACCESS_LOG_CAP)
-        self._log_lock = threading.Lock()
         super().__init__(self.config.host, self.config.port, _make_handler(self))
 
     @property
@@ -364,39 +350,22 @@ class RestServer(HttpService):
             return self.config.base_url.rstrip("/")
         return f"http://{self.config.host}:{self.port}"
 
-    @property
-    def access_log(self) -> list[AccessLogEntry]:
-        """The newest ``ACCESS_LOG_CAP`` entries, oldest first (a snapshot)."""
-        with self._log_lock:
-            return list(self._log)
-
-    def record(self, entry: AccessLogEntry) -> None:
-        with self._log_lock:
-            self._log.append(entry)
-
 
 def _make_handler(server: RestServer):
     registry = server.registry
-    config = server.config
+    token = server.config.bearer_token
+    expected = None if token is None else f"Bearer {token}".encode("utf-8")
 
     class Handler(JsonHandler):
         server_version = "mcard-rest/0.1"
         timeout = SOCKET_TIMEOUT_S
 
-        def _reply(self, status: int, body: bytes, content_type: str,
-                   extra_headers: list[tuple[str, str]] | None = None) -> None:
-            # logged before any byte goes out: a client that has the body
-            # must find its entry in the access log
-            digest = hashlib.sha256(body).hexdigest() if config.log_body_hash else None
-            server.record(AccessLogEntry(self.command, self.path, status,
-                                         0 if self.command == "HEAD" else len(body), digest))
-            super()._reply(status, body, content_type, extra_headers)
-
         def _authorized(self, path: str) -> bool:
-            if config.bearer_token is None or path == "/health":
+            if expected is None or path == "/health":
                 return True
-            supplied = self.headers.get("Authorization", "")
-            if supplied == f"Bearer {config.bearer_token}":
+            # the octets as received: parse_request decoded them as latin-1
+            supplied = self.headers.get("Authorization", "").encode("latin-1")
+            if hmac.compare_digest(supplied, expected):
                 return True
             self._reply_json(401, {"error": "UNAUTHORIZED", "detail": "bearer token required"})
             return False
@@ -492,7 +461,7 @@ def _make_handler(server: RestServer):
             doc = parse_model_card(self._body)
             mc_id = registry.ingest_model_card(doc)
             self._reply_json(201, {"mc_id": mc_id},
-                             [("Location", f"{server.base_url}/modelcard/{mc_id}")])
+                             [("Location", card_url(server.base_url, mc_id))])
 
         def _create_edge(self):
             payload = _json_object(self._body)

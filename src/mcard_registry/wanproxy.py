@@ -40,7 +40,6 @@ class BindFailedError(ApiError):
 class WanProfile:
     one_way_delay_ms: float = 0.0
     bandwidth_bytes_per_s: int | None = None
-    name: str = "custom"
 
     def __post_init__(self):
         if self.one_way_delay_ms < 0:
@@ -262,7 +261,7 @@ def main(argv=None) -> int:
     parser.add_argument("--bandwidth-bps", type=int, default=None,
                         help="per-direction bandwidth cap in bytes/s")
     args = parser.parse_args(argv)
-    profile = WanProfile(args.delay_ms, args.bandwidth_bps, name="cli")
+    profile = WanProfile(args.delay_ms, args.bandwidth_bps)
     proxy = WanProxy(parse_addr(args.listen), parse_addr(args.upstream), profile).start()
     print(f"wanproxy: {args.listen} -> {args.upstream} "
           f"delay {args.delay_ms} ms bandwidth {args.bandwidth_bps or 'unlimited'}")

@@ -120,6 +120,22 @@ def ingest_dict(registry: Registry, card: dict) -> str:
     return registry.ingest_model_card(parse_model_card(json.dumps(card)))
 
 
+def record_replies(server) -> list[tuple[str, str, int, bytes]]:
+    """From now on, record (method, path, status, body) for every reply the
+    RestServer ``server`` sends, before the reply's first byte goes out: a
+    client that has the reply finds it recorded."""
+    replies = []
+    handler = server._httpd.RequestHandlerClass  # one class per server
+    reply = handler._reply
+
+    def recording(self, status, body, *args, **kwargs):
+        replies.append((self.command, self.path, status, body))
+        reply(self, status, body, *args, **kwargs)
+
+    handler._reply = recording
+    return replies
+
+
 # Content-Length values no server may trust (RFC 9112 section 6.3): the
 # expected status, then the header lines sent (None sends no Content-Length)
 HOSTILE_CONTENT_LENGTHS = [

@@ -1,5 +1,4 @@
 import json
-import random
 
 import pytest
 import requests.utils
@@ -7,17 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from mcard_registry.cards import (
     LIFECYCLE_STAGES,
-    LINKSET_RELS,
     SCHEMA_ADJACENCY,
-    build_linkset,
+    build_linkset_from_fields,
     compose_mc_id,
-    document_to_jsonable,
     infer_relationship_type,
     linkset_to_jsonable,
     parse_deployment,
     parse_model_card,
     serialize_link_header,
-    serialize_model_card,
 )
 from mcard_registry.errors import (
     AmbiguousLabelError,
@@ -29,7 +25,7 @@ from mcard_registry.errors import (
     SchemaViolationError,
 )
 
-from conftest import card_dict, deployment_dict, random_card_dict
+from conftest import card_dict, deployment_dict
 
 
 # --- id composition ---
@@ -48,6 +44,12 @@ def test_compose_empty_component():
         compose_mc_id("", "x", "1")
     with pytest.raises(EmptyComponentError):
         compose_mc_id("a", "   ", "1")
+
+
+def test_compose_refuses_a_slash():
+    with pytest.raises(SchemaViolationError) as info:
+        compose_mc_id("a", "b/linkset", "1")
+    assert info.value.field == "model_name"
 
 
 _component = st.text(
@@ -135,22 +137,10 @@ def test_parse_negative_metric_rejected():
         parse_model_card(json.dumps(card))
 
 
-def test_unknown_top_level_keys_survive_round_trip():
+def test_unknown_top_level_keys_are_ignored():
     card = card_dict()
-    card["custom_annotation"] = {"anything": [1, 2, 3]}
-    doc = parse_model_card(json.dumps(card))
-    assert doc.extras == {"custom_annotation": {"anything": [1, 2, 3]}}
-    again = document_to_jsonable(doc)
-    assert again["custom_annotation"] == {"anything": [1, 2, 3]}
-
-
-def test_round_trip_over_generated_corpus():
-    rng = random.Random(1234)
-    for idx in range(100):
-        card = random_card_dict(rng, idx)
-        doc = parse_model_card(json.dumps(card))
-        re_parsed = parse_model_card(serialize_model_card(doc))
-        assert re_parsed == doc, f"card {idx} failed round-trip"
+    annotated = dict(card, custom_annotation={"anything": [1, 2, 3]})
+    assert parse_model_card(json.dumps(annotated)) == parse_model_card(json.dumps(card))
 
 
 # --- field-by-field characterisation ---
@@ -456,15 +446,15 @@ def test_extra_non_schema_labels_are_ignored():
 
 # --- signposting ---
 
-def _doc(with_image: bool):
-    card = card_dict()
+def _linkset(with_image: bool):
+    model = card_dict()["ai_model"]
     if with_image:
-        card["ai_model"]["container_image_location"] = "https://images.example.org/resnet:1.0"
-    return parse_model_card(json.dumps(card))
+        model["container_image_location"] = "https://images.example.org/resnet:1.0"
+    return build_linkset_from_fields("jdoe-resnet-1.0", model, "http://srv.example:8080")
 
 
 def test_linkset_with_image_has_four_links():
-    linkset = build_linkset(_doc(True), "http://srv.example:8080")
+    linkset = _linkset(True)
     assert linkset.anchor == "http://srv.example:8080/modelcard/jdoe-resnet-1.0"
     assert len(linkset.links) == 4
     rels = sorted(l.rel for l in linkset.links)
@@ -472,19 +462,19 @@ def test_linkset_with_image_has_four_links():
 
 
 def test_linkset_without_image_has_three_links():
-    linkset = build_linkset(_doc(False), "http://srv.example:8080")
+    linkset = _linkset(False)
     assert len(linkset.links) == 3
 
 
 def test_linkset_rel_vocabulary_and_absolute_targets():
-    linkset = build_linkset(_doc(True), "http://srv.example:8080")
+    linkset = _linkset(True)
     for entry in linkset.links:
-        assert entry.rel in LINKSET_RELS
+        assert entry.rel in {"cite-as", "describedby", "item", "collection", "type"}
         assert "://" in entry.target
 
 
 def test_linkset_jsonable_shape():
-    body = linkset_to_jsonable(build_linkset(_doc(True), "http://srv.example:8080"))
+    body = linkset_to_jsonable(_linkset(True))
     assert set(body) == {"linkset"}
     context = body["linkset"][0]
     assert context["anchor"].endswith("/modelcard/jdoe-resnet-1.0")
@@ -493,7 +483,7 @@ def test_linkset_jsonable_shape():
 
 
 def test_link_header_parses_with_independent_parser():
-    linkset = build_linkset(_doc(True), "http://srv.example:8080")
+    linkset = _linkset(True)
     header = serialize_link_header(linkset)
     parsed = requests.utils.parse_header_links(header)
     assert len(parsed) == 4

@@ -114,6 +114,6 @@ def test_generated_experiments_carry_no_edges(tmp_path):
         spec = make_spec("micro", seed=7, cards=2, experiments=4)
         ingest_corpus(spec, str(tmp_path), server.base_url)
         for exp in registry.store.find_nodes("Experiment"):
-            assert registry.store.neighbors(exp.id, "out") == []
+            assert registry.store.neighbors(exp.id, "INCLUDES") == []
     finally:
         server.stop()

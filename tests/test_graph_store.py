@@ -56,7 +56,7 @@ def test_atomic_write_success_returns_result():
     store = GraphStore()
     nid = store.atomic_write(lambda tx: tx.create_node({"A"}, {"k": "v"}))
     assert store.node_count() == 1
-    assert store.get_node(nid).properties == {"k": "v"}
+    assert [(n.id, n.properties) for n in store.iter_nodes()] == [(nid, {"k": "v"})]
 
 
 def test_atomic_write_dangling_edge_rejected():
@@ -70,16 +70,6 @@ def test_atomic_write_dangling_edge_rejected():
         store.atomic_write(work)
     assert store.node_count() == 0
     assert store.edge_count() == 0
-
-
-def test_get_node_absent_and_kind_mismatch():
-    store = GraphStore()
-    nid = store.create_node({"A"}, {})
-    other = store.create_node({"A"}, {})
-    eid = store.create_edge(nid, other, "REL")
-    assert store.get_node(node_id(999999)) is None
-    assert store.get_node(eid) is None  # edge id is not a node id
-    assert store.get_node(nid).labels == frozenset({"A"})
 
 
 def test_node_labels():
@@ -120,20 +110,20 @@ def test_neighbors_ordering_and_filters():
     for d in reversed(deployments):
         store.create_edge(model, d, "HAS_DEPLOYMENT")
     store.create_edge(model, deployments[0], "AUDITS")
-    out = store.neighbors(model, "out", "HAS_DEPLOYMENT")
+    out = store.neighbors(model, "HAS_DEPLOYMENT")
     assert [n.id for n in out] == deployments[::-1]
     assert [n.properties["i"] for n in out] == [2, 1, 0]
-    assert store.neighbors(model, "in") == []
-    assert [n.id for n in store.neighbors(model, "out")] == deployments[::-1] + deployments[:1]
-    assert [n.id for n in store.neighbors(deployments[0], "in")] == [model, model]
+    assert [n.id for n in store.neighbors(model, "AUDITS")] == deployments[:1]
+    assert store.neighbors(model, "NO_SUCH_REL") == []
+    assert store.neighbors(deployments[0], "HAS_DEPLOYMENT") == []
 
 
 def test_records_are_copies():
     store = GraphStore()
-    nid = store.create_node({"A"}, {"tags": ["x"]})
-    rec = store.get_node(nid)
+    store.create_node({"A"}, {"tags": ["x"]})
+    rec, = store.find_nodes("A")
     rec.properties["tags"].append("y")
-    assert store.get_node(nid).properties["tags"] == ["x"]
+    assert store.find_nodes("A")[0].properties["tags"] == ["x"]
 
 
 # --- snapshots ---
@@ -590,11 +580,9 @@ def _assert_reads_follow(store, nodes, edges):
                 expected = [i for i in labelled if nodes[i][1].get(key) == value]
                 assert [n.id for n in store.find_nodes(label, {key: value})] == expected
     for i in ids:
-        for rel in (None, *ORDER_RELS):
-            out = [dst for _, src, dst, r in edges if src == i and rel in (None, r)]
-            into = [src for _, src, dst, r in edges if dst == i and rel in (None, r)]
-            assert [n.id for n in store.neighbors(i, "out", rel)] == out
-            assert [n.id for n in store.neighbors(i, "in", rel)] == into
+        for rel in ORDER_RELS:
+            out = [dst for _, src, dst, r in edges if src == i and r == rel]
+            assert [n.id for n in store.neighbors(i, rel)] == out
 
 
 @settings(max_examples=40, deadline=None)

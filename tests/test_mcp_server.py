@@ -4,6 +4,7 @@ import socket
 import time
 
 import pytest
+import requests
 
 from mcard_registry.bench.clients import ClientError, McpClient
 from mcard_registry.mcpserver import McpConfig, McpServer
@@ -18,6 +19,7 @@ from conftest import (
     ingest_dict,
     raw_json_post,
     raw_post,
+    record_replies,
 )
 
 
@@ -452,7 +454,7 @@ def test_id_correlation_and_fifo_under_interleaving(native):
 @pytest.fixture
 def layered_stack():
     registry = Registry()
-    rest = RestServer(registry, RestConfig(log_body_hash=True)).start()
+    rest = RestServer(registry, RestConfig()).start()
     mcp = McpServer(
         McpConfig(backend="layered", rest_base_url=rest.base_url, heartbeat_seconds=0.2)
     ).start()
@@ -468,12 +470,10 @@ def test_layered_read_wraps_rest_body_verbatim(layered_stack):
     mc_id, _, _ = _seed(registry)
     client = _open(mcp)
     try:
-        log_before = len(rest.access_log)
+        replies = record_replies(rest)
         _, text = client.read_resource(mc_id)
-        rest_calls = rest.access_log[log_before:]
-        assert len(rest_calls) == 1  # exactly one REST request per resources/read
-        import hashlib
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == rest_calls[0].body_sha256
+        assert len(replies) == 1  # exactly one REST request per resources/read
+        assert text.encode("utf-8") == replies[0][3]
     finally:
         client.close()
 
@@ -483,7 +483,7 @@ def test_layered_tools_proxy_one_rest_call_each(layered_stack):
     _, exp_element, dep_element = _seed(registry)
     client = _open(mcp)
     try:
-        log_before = len(rest.access_log)
+        replies = record_replies(rest)
         _, text, is_error = client.call_tool(
             "create_edge", {"source_id": exp_element, "target_id": dep_element})
         assert is_error is False
@@ -493,11 +493,31 @@ def test_layered_tools_proxy_one_rest_call_each(layered_stack):
         assert dup_error is True
         _, search_text, _ = client.call_tool("search_model_cards", {"query": "classifier"})
         assert json.loads(search_text)
-        rest_calls = rest.access_log[log_before:]
-        assert len(rest_calls) == 3
-        assert [e.method for e in rest_calls] == ["POST", "POST", "GET"]
+        assert [(method, status) for method, _, status, _ in replies] == \
+            [("POST", 201), ("POST", 409), ("GET", 200)]
     finally:
         client.close()
+
+
+def test_card_with_reserved_characters_reads_alike_on_every_frontend(layered_stack):
+    layered, rest, registry = layered_stack
+    created = requests.post(f"{rest.base_url}/modelcard", json=card_dict(name="b?c#d%e"))
+    mc_id = created.json()["mc_id"]
+    rest_body = requests.get(created.headers["Location"]).json()
+    del rest_body["_timings"]
+    native = McpServer(McpConfig(heartbeat_seconds=0.2), registry).start()
+    clients = []
+    try:
+        for server in (native, layered):
+            clients.append(_open(server))
+            _, text = clients[-1].read_resource(mc_id)
+            body = json.loads(text)
+            del body["_timings"]
+            assert body == rest_body
+    finally:
+        for client in clients:
+            client.close()
+        native.stop()
 
 
 def test_layered_read_absent_card_maps_to_not_found(layered_stack):
@@ -527,15 +547,16 @@ def test_layered_redials_when_rest_drops_the_kept_alive_connection(layered_stack
     # REST closes a kept-alive connection after 0.2 s without a request
     rest._httpd.RequestHandlerClass.timeout = 0.2
     client = _open(mcp)
+    replies = record_replies(rest)
     try:
         for _ in range(3):
-            log_before = len(rest.access_log)
+            before = len(replies)
             _, text, is_error = client.call_tool(
                 "search_model_cards", {"query": "classifier"})
             assert is_error is False
             assert json.loads(text)
             # the attempt on the dropped connection never reached REST
-            assert len(rest.access_log) - log_before == 1
+            assert len(replies) - before == 1
             time.sleep(0.6)
     finally:
         client.close()
