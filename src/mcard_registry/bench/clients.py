@@ -208,7 +208,7 @@ class McpClient:
     # --- operations used by the benchmark ---
 
     def read_resource(self, mc_id: str) -> tuple[dict, str]:
-        response = self.request("resources/read", {"uri": f"modelcard://{mc_id}"})
+        response = self.request("resources/read", {"uri": f"modelcard://{quote(mc_id, safe='')}"})
         if "error" in response:
             raise ClientError(f"resources/read failed: {response['error']}")
         return response, response["result"]["contents"][0]["text"]

@@ -21,6 +21,7 @@ from __future__ import annotations
 import http.client
 import json
 import time
+from urllib.parse import quote
 
 from .clients import ClientError, McpClient, RestClient, rest_retrieve_path, rest_search_path
 from .samples import LatencySample, RunResult
@@ -85,7 +86,7 @@ def _rest_read(plan: WorkPlan, reply) -> tuple[int, float | None]:
 
 def _mcp_send(client: McpClient, plan: WorkPlan, i: int):
     if plan.operation == "retrieve":
-        method, params = "resources/read", {"uri": f"modelcard://{plan.args(i)}"}
+        method, params = "resources/read", {"uri": f"modelcard://{quote(plan.args(i), safe='')}"}
     elif plan.operation == "search":
         method, params = "tools/call", {"name": "search_model_cards",
                                         "arguments": {"query": plan.args(i), "limit": 10}}

@@ -10,7 +10,7 @@ import json
 import math
 import re
 from dataclasses import MISSING, dataclass, field, fields
-from datetime import datetime
+from datetime import datetime, timezone
 from urllib.parse import quote, urlparse
 
 from .errors import (
@@ -21,7 +21,6 @@ from .errors import (
     NoSchemaLabelError,
     SchemaViolationError,
 )
-from .graphstore import parse_timestamp
 
 DOC_FORMAT_VERSION = "1.0"
 
@@ -161,11 +160,29 @@ def _stage(value, path: str) -> str:
     return value
 
 
-def _timestamp(value, path: str) -> datetime:
+def _timestamp(value, path: str) -> str:
+    """An ISO-8601 timestamp with a ``Z`` or an explicit offset, as its
+    canonical UTC text ``YYYY-MM-DDTHH:MM:SS[.ffffff]Z``: the form the store
+    keeps and the wire carries."""
+    text = _name(value, path)
     try:
-        return parse_timestamp(_name(value, path))
-    except ValueError:
-        raise SchemaViolationError(path, "not an ISO-8601 UTC timestamp") from None
+        parsed = datetime.fromisoformat(text[:-1] + "+00:00" if text.endswith("Z") else text)
+        if parsed.tzinfo is not None:
+            # an offset that moves year 1 or 9999 out of range raises OverflowError
+            return parsed.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
+    except (ValueError, OverflowError):
+        pass
+    raise SchemaViolationError(path, "not an ISO-8601 UTC timestamp")
+
+
+def timestamp_order(text: str) -> str:
+    """The sort key of a canonical timestamp: its text without the final
+    ``Z``. Plain text order is wrong, as ``Z`` sorts after ``.``: the
+    whole-second ``...:00Z`` would follow ``...:00.500000Z``. Without the
+    ``Z`` it is right: every field has a fixed width and the fraction is
+    absent or exactly six digits, so when the first 19 characters match, the
+    whole-second text is a prefix of the other and sorts first."""
+    return text[:-1]
 
 
 def _keywords(value, path: str) -> list[str]:
@@ -247,8 +264,8 @@ class XAIAnalysis:
 class DeploymentRecord:
     deployment_id: str = _field(_name)
     device_id: str = _field(_name)
-    start_time: datetime = _field(_timestamp)
-    end_time: datetime | None = _field(_timestamp, default=None, kw_only=True)
+    start_time: str = _field(_timestamp)
+    end_time: str | None = _field(_timestamp, default=None, kw_only=True)
     location: str = _field(_text)
     mean_latency_ms: float = _field(_non_negative)
     mean_accuracy: float = _field(_non_negative)
@@ -347,7 +364,8 @@ def _reject_lone_surrogates(obj) -> None:
 
 def parse_deployment(obj, where: str = "deployment.") -> DeploymentRecord:
     dep = _record(DeploymentRecord, obj, where)
-    if dep.end_time is not None and dep.end_time < dep.start_time:
+    if dep.end_time is not None and \
+            timestamp_order(dep.end_time) < timestamp_order(dep.start_time):
         raise SchemaViolationError(where + "end_time", "precedes start_time")
     return dep
 

@@ -3,6 +3,8 @@
 Storage is in-memory maps (id -> node, id -> edge, label -> ids, node ->
 outgoing edges) guarded by a single-writer / multi-reader lock. Persistence
 is a whole-store snapshot in line-delimited JSON; there is no write-ahead log.
+Property values are JSON scalars or lists of them (a timestamp is its UTC
+text), so a snapshot writes them as they are.
 Element ordinals are allocated once per store lifetime and never reused,
 including after a rollback. Each label's identifying property (``KEY_FIELDS``)
 has an equality index, so looking a card, device or experiment up by its id
@@ -23,7 +25,6 @@ import tempfile
 import threading
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from typing import Any
 
 from .errors import (
@@ -97,7 +98,9 @@ class EdgeRecord:
 
 
 def _validate_properties(properties: Mapping[str, Any]) -> dict[str, Any]:
-    """Check the tagged-union property contract; returns a defensive copy."""
+    """Check the property contract: each value is a str, an int, a finite
+    float, a bool, or a list of those, so it is already JSON (a timestamp is
+    its UTC text, made by the card parser). Returns a defensive copy."""
     out: dict[str, Any] = {}
     for key, value in properties.items():
         if not isinstance(key, str) or not key:
@@ -108,10 +111,6 @@ def _validate_properties(properties: Mapping[str, Any]) -> dict[str, Any]:
             if not math.isfinite(value):
                 raise InvalidPropertyError(f"property {key} is a non-finite float")
             out[key] = value
-        elif isinstance(value, datetime):
-            if value.tzinfo is None:
-                raise InvalidPropertyError(f"timestamp property {key} must be timezone-aware")
-            out[key] = value.astimezone(timezone.utc)
         elif isinstance(value, (list, tuple)):
             items = list(value)
             for item in items:
@@ -503,7 +502,7 @@ class GraphStore:
                       "next_edge_ordinal": self._next_edge_ordinal}
             lines = [json.dumps(header, sort_keys=True)]
             for rec in (*self._nodes.values(), *self._edges.values()):
-                obj = {"id": str(rec.id), "properties": _encode_props(rec.properties)}
+                obj = {"id": str(rec.id), "properties": rec.properties}
                 if isinstance(rec, NodeRecord):
                     obj["labels"] = sorted(rec.labels)
                 else:
@@ -563,7 +562,7 @@ class GraphStore:
 
     def _load_element(self, obj: dict) -> None:
         eid = ElementId.parse(obj["id"])
-        props = _decode_props(obj["properties"])
+        props = {key: _legacy_value(value) for key, value in obj["properties"].items()}
         if eid.kind == "node":
             if not next(reversed(self._nodes), -1) < eid.ordinal < self._next_node_ordinal:
                 raise ValueError(f"node ordinal {eid.ordinal} out of order or out of range")
@@ -577,39 +576,10 @@ class GraphStore:
             self._add_edge(rec)
 
 
-def _encode_props(props: dict[str, Any]) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    for key, value in props.items():
-        if isinstance(value, datetime):
-            out[key] = {"$ts": render_timestamp(value)}
-        else:
-            out[key] = value
-    return out
-
-
-def _decode_props(raw: dict[str, Any]) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    for key, value in raw.items():
-        if isinstance(value, dict):
-            if set(value) != {"$ts"}:
-                raise ValueError(f"unknown tagged property {key}")
-            out[key] = parse_timestamp(value["$ts"])
-        else:
-            out[key] = value
-    return out
-
-
-def parse_timestamp(text: str) -> datetime:
-    """Accept ISO-8601 with 'Z' or explicit offset; normalize to UTC."""
-    candidate = text[:-1] + "+00:00" if text.endswith("Z") else text
-    try:
-        parsed = datetime.fromisoformat(candidate)
-    except ValueError as exc:
-        raise ValueError(f"not an ISO-8601 timestamp: {text!r}") from exc
-    if parsed.tzinfo is None:
-        raise ValueError(f"timestamp must carry a timezone: {text!r}")
-    return parsed.astimezone(timezone.utc)
-
-
-def render_timestamp(value: datetime) -> str:
-    return value.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
+def _legacy_value(value: Any) -> Any:
+    """A snapshot property value as the store keeps it. Older snapshots wrote
+    a timestamp as ``{"$ts": text}``, its text already canonical UTC; any
+    other object fails ``_validate_properties``."""
+    if isinstance(value, dict) and value.keys() == {"$ts"} and isinstance(value["$ts"], str):
+        return value["$ts"]
+    return value

@@ -31,7 +31,7 @@ import secrets
 import socket
 import threading
 from dataclasses import dataclass
-from urllib.parse import parse_qs, quote, urlsplit
+from urllib.parse import parse_qs, quote, unquote, urlsplit
 
 from . import wire
 from .cards import _loads
@@ -326,7 +326,8 @@ class McpServer(HttpService):
         uri = params.get("uri")
         if not isinstance(uri, str) or not uri.startswith("modelcard://"):
             return _error_response(msg_id, INVALID_PARAMS, "uri must match modelcard://{mc_id}")
-        mc_id = uri[len("modelcard://"):]
+        # the id is percent-encoded, as in REST's Location (RFC 3986 section 2.1)
+        mc_id = unquote(uri[len("modelcard://"):])
         if not mc_id or "/" in mc_id:
             return _error_response(msg_id, INVALID_PARAMS, "uri must carry one path segment")
         status, text = self.backend.read_card(mc_id, auth)

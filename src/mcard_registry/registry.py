@@ -181,7 +181,8 @@ class Registry:
             def deployments_query():
                 records = sorted(
                     self.store.neighbors(model_id, "HAS_DEPLOYMENT"),
-                    key=lambda r: (r.properties["start_time"], r.properties["deployment_id"]),
+                    key=lambda r: (cards.timestamp_order(r.properties["start_time"]),
+                                   r.properties["deployment_id"]),
                 )
                 return [wire.project_node(rec, wire.DEPLOYMENT_FIELDS) for rec in records]
 

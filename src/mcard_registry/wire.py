@@ -8,11 +8,10 @@ the two frontends emit byte-identical JSON for the same store state.
 from __future__ import annotations
 
 import json
-from datetime import datetime
 from typing import Any
 
 from . import cards
-from .graphstore import NodeRecord, render_timestamp
+from .graphstore import NodeRecord
 
 MODEL_CARD_FIELDS = cards.PROPERTY_FIELDS[cards.ModelCardDocument]
 MODEL_FIELDS = cards.PROPERTY_FIELDS[cards.AIModelInfo]
@@ -23,21 +22,15 @@ XAI_FIELDS = ("method", "feature_names", "feature_importances", "notes")
 DEPLOYMENT_FIELDS = cards.PROPERTY_FIELDS[cards.DeploymentRecord]
 
 
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, datetime):
-        return render_timestamp(value)
-    return value
-
-
 def project_node(record: NodeRecord, field_order: tuple[str, ...]) -> dict:
     out: dict = {"element_id": str(record.id)}
     props = record.properties
     for key in field_order:
         if key in props:
-            out[key] = _jsonable(props[key])
+            out[key] = props[key]
     for key in sorted(props):
         if key not in out:
-            out[key] = _jsonable(props[key])
+            out[key] = props[key]
     return out
 
 

@@ -1,4 +1,5 @@
 import json
+from datetime import datetime, timedelta, timezone
 
 import pytest
 import requests.utils
@@ -14,6 +15,7 @@ from mcard_registry.cards import (
     parse_deployment,
     parse_model_card,
     serialize_link_header,
+    timestamp_order,
 )
 from mcard_registry.errors import (
     AmbiguousLabelError,
@@ -130,6 +132,75 @@ def test_parse_deployment_end_before_start():
         parse_model_card(json.dumps(card))
 
 
+@pytest.mark.parametrize("text,canonical", [
+    ("2024-01-01T00:00:00Z", "2024-01-01T00:00:00Z"),
+    ("2024-01-01T02:00:00+02:00", "2024-01-01T00:00:00Z"),
+    ("2024-01-01T00:00:00.5Z", "2024-01-01T00:00:00.500000Z"),
+    ("2024-01-01T00:00:00.000000-00:30", "2024-01-01T00:30:00Z"),
+])
+def test_timestamps_parse_to_canonical_utc_text(text, canonical):
+    assert parse_deployment(deployment_dict(0, start_time=text, end_time=None)).start_time \
+        == canonical
+
+
+def test_end_time_half_a_second_before_start_time_is_rejected():
+    # as plain text "...:00Z" sorts after "...:00.500000Z"
+    dep = deployment_dict(0, start_time="2024-01-01T00:00:00.5Z",
+                          end_time="2024-01-01T00:00:00Z")
+    assert _outcome(parse_deployment, dep) == _sv("deployment.end_time", "precedes start_time")
+
+
+_offsets = st.integers(-(24 * 60 - 1), 24 * 60 - 1).map(
+    lambda minutes: timezone(timedelta(minutes=minutes)))
+_instants = st.datetimes(min_value=datetime(2, 1, 1), max_value=datetime(9998, 12, 31),
+                         timezones=_offsets)
+
+
+def _canonical(moment: datetime, timespec: str) -> str:
+    text = moment.isoformat(timespec=timespec)
+    return parse_deployment(deployment_dict(0, start_time=text, end_time=None)).start_time
+
+
+@st.composite
+def _instant_pairs(draw):
+    """Two instants: unrelated, or within a second or two of each other (the
+    pairs whose text shares its first 19 characters), at any offsets."""
+    a = draw(_instants)
+    if draw(st.booleans()):
+        return a, draw(_instants)
+    b = a.replace(microsecond=draw(st.sampled_from([0, a.microsecond]) | st.integers(0, 999_999)))
+    b += timedelta(seconds=draw(st.integers(-1, 1)))
+    return a, b.astimezone(draw(_offsets))
+
+
+@settings(max_examples=300)
+@given(_instant_pairs(), st.sampled_from(["auto", "microseconds"]))
+def test_timestamp_order_agrees_with_instant_order(pair, timespec):
+    a, b = pair
+    text_a, text_b = _canonical(a, timespec), _canonical(b, timespec)
+    assert datetime.fromisoformat(text_a.replace("Z", "+00:00")) == a
+    assert (timestamp_order(text_a) < timestamp_order(text_b)) == (a < b)
+    assert (timestamp_order(text_a) == timestamp_order(text_b)) == (a == b)
+
+
+_timestamp_like = (
+    st.from_regex(r"\A[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}(\.[0-9]{1,7})?"
+                  r"(Z|[+-][0-9]{2}:[0-9]{2})?\Z")
+    # at the ends of the datetime range, where an offset can overflow it
+    | st.from_regex(r"\A(0001-01-01T00|9999-12-31T23):[0-9]{2}:[0-9]{2}"
+                    r"(Z|[+-][0-9]{2}:[0-9]{2})\Z")
+)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(["start_time", "end_time"]), st.one_of(st.text(), _timestamp_like))
+def test_any_timestamp_text_parses_or_is_a_schema_violation(key, text):
+    try:
+        parse_deployment(deployment_dict(0, **{key: text}))
+    except SchemaViolationError:
+        pass
+
+
 def test_parse_negative_metric_rejected():
     dep = deployment_dict(0, mean_latency_ms=-1.0)
     card = card_dict(deployments=[dep])
@@ -207,6 +278,11 @@ def _timestamp_faults(path):
     return [("wrong-type", 5, _sv(path, "expected str")),
             ("not-a-timestamp", "yesterday", _sv(path, "not an ISO-8601 UTC timestamp")),
             ("no-timezone", "2024-01-01T00:00:00",
+             _sv(path, "not an ISO-8601 UTC timestamp")),
+            # valid text whose UTC instant falls before year 1 or after 9999
+            ("NEW-before-year-1", "0001-01-01T00:00:00+01:00",
+             _sv(path, "not an ISO-8601 UTC timestamp")),
+            ("NEW-after-year-9999", "9999-12-31T23:30:00-01:00",
              _sv(path, "not an ISO-8601 UTC timestamp"))]
 
 

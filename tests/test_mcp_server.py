@@ -337,8 +337,9 @@ def test_resources_read_bad_scheme(native):
     try:
         response = client.request("resources/read", {"uri": "card://x"})
         assert response["error"]["code"] == -32602
-        response = client.request("resources/read", {"uri": "modelcard://a/b"})
-        assert response["error"]["code"] == -32602
+        for uri in ("modelcard://a/b", "modelcard://a%2Fb"):
+            response = client.request("resources/read", {"uri": uri})
+            assert response["error"]["code"] == -32602
     finally:
         client.close()
 
@@ -505,15 +506,22 @@ def test_card_with_reserved_characters_reads_alike_on_every_frontend(layered_sta
     mc_id = created.json()["mc_id"]
     rest_body = requests.get(created.headers["Location"]).json()
     del rest_body["_timings"]
+    # the resource URI carries the id percent-encoded, as REST's Location does
+    uri = "modelcard://" + created.headers["Location"].rsplit("/", 1)[1]
+    assert uri == "modelcard://jdoe-b%3Fc%23d%25e-1.0"
     native = McpServer(McpConfig(heartbeat_seconds=0.2), registry).start()
     clients = []
     try:
         for server in (native, layered):
             clients.append(_open(server))
             _, text = clients[-1].read_resource(mc_id)
-            body = json.loads(text)
-            del body["_timings"]
-            assert body == rest_body
+            response = clients[-1].request("resources/read", {"uri": uri})
+            for text in (text, response["result"]["contents"][0]["text"]):
+                body = json.loads(text)
+                del body["_timings"]
+                assert body == rest_body
+            response = clients[-1].request("resources/read", {"uri": "modelcard://a%2Fb"})
+            assert response["error"]["code"] == -32602
     finally:
         for client in clients:
             client.close()

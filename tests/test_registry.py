@@ -1,6 +1,6 @@
 import json
 import random
-from datetime import timezone
+from datetime import datetime
 
 import pytest
 
@@ -14,22 +14,21 @@ from mcard_registry.errors import (
     NotFoundError,
     SchemaViolationError,
 )
+from mcard_registry.graphstore import GraphStore
 from mcard_registry.registry import RETRIEVAL_QUERY_NAMES, Registry
+from mcard_registry.wire import aggregated_to_jsonable, dumps
 
 from conftest import card_dict, deployment_dict, ingest_dict, random_card_dict
 
 
 # --- whole-graph traversal oracle, independent of the five-query plan ---
 
-def _iso(value):
-    return value.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
-
-
 def _plain(props: dict, element_id) -> dict:
-    out = {"element_id": str(element_id)}
-    for key, value in props.items():
-        out[key] = _iso(value) if hasattr(value, "astimezone") else value
-    return out
+    return {"element_id": str(element_id), **props}
+
+
+def _instant(text: str) -> datetime:
+    return datetime.fromisoformat(text.replace("Z", "+00:00"))
 
 
 def traversal_oracle(store, mc_id: str) -> dict:
@@ -48,7 +47,8 @@ def traversal_oracle(store, mc_id: str) -> dict:
     bias = follow(card, "HAS_BIAS_ANALYSIS")
     xai = follow(card, "HAS_XAI_ANALYSIS")
     deployments = follow(model, "HAS_DEPLOYMENT")
-    deployments.sort(key=lambda n: (n.properties["start_time"], n.properties["deployment_id"]))
+    deployments.sort(
+        key=lambda n: (_instant(n.properties["start_time"]), n.properties["deployment_id"]))
     result = {
         "model_card": _plain(card.properties, card.id),
         "ai_model": _plain(model.properties, model.id),
@@ -164,6 +164,77 @@ def test_deployments_ordered_by_start_time_then_id(registry):
     mc_id = ingest_dict(registry, card_dict(deployments=deps))
     agg = registry.retrieve_model_card(mc_id)
     assert [d["deployment_id"] for d in agg.deployments] == ["dep-0001", "dep-0000", "dep-0002"]
+
+
+def test_deployments_ordered_by_instant_across_fractions_and_offsets(registry):
+    deps = [
+        deployment_dict(0, start_time="2024-06-01T00:00:00.5Z", end_time=None),
+        deployment_dict(1, start_time="2024-06-01T00:00:00Z", end_time=None),
+        deployment_dict(2, start_time="2024-06-01T00:00:00.25Z", end_time=None),
+        deployment_dict(3, start_time="2024-06-01T02:00:00+02:00", end_time=None),
+    ]
+    mc_id = ingest_dict(registry, card_dict(deployments=deps))
+    agg = registry.retrieve_model_card(mc_id)
+    assert [(d["start_time"], d["deployment_id"]) for d in agg.deployments] == [
+        ("2024-06-01T00:00:00Z", "dep-0001"),
+        ("2024-06-01T00:00:00Z", "dep-0003"),
+        ("2024-06-01T00:00:00.250000Z", "dep-0002"),
+        ("2024-06-01T00:00:00.500000Z", "dep-0000"),
+    ]
+
+
+# The snapshot of card_dict() with two deployments, as a store that kept
+# timestamps as datetimes wrote it: each one tagged {"$ts": canonical text}.
+LEGACY_SNAPSHOT = "\n".join([
+    '{"format": "mcgraph-snapshot", "next_edge_ordinal": 6, "next_node_ordinal": 6, "version": 1}',
+    '{"id": "n:1", "labels": ["ModelCard"], "properties": {"author": "jdoe", '
+    '"documentation_format_version": "1.0", "external_id": "jdoe-resnet-1.0", '
+    '"full_description": "A wildlife image classifier tuned for edge devices.", '
+    '"input_type": "image", "keywords": ["wildlife", "classifier"], "name": "resnet", '
+    '"output_type": "label", "short_description": "camera trap classifier", "version": "1.0"}}',
+    '{"id": "n:2", "labels": ["Model"], "properties": {"artifact_location": '
+    '"https://models.example.org/jdoe/resnet-1.0.pt", "framework": "pytorch", '
+    '"license": "apache-2.0", "lifecycle_stage": "model_image", "model_type": "cnn", '
+    '"name": "resnet", "owner": "jdoe", "test_accuracy": 0.91, "version": "1.0"}}',
+    '{"id": "n:3", "labels": ["Deployment"], "properties": {"cpu_utilization": 0.5, '
+    '"deployment_id": "dep-0001", "device_id": "dev-1", '
+    '"end_time": {"$ts": "2024-01-01T01:00:00Z"}, "energy_joules": 12.5, '
+    '"gpu_utilization": 0.25, "location": "field-site-a", "mean_accuracy": 0.9, '
+    '"mean_latency_ms": 43.0, "requests_served": 101, '
+    '"start_time": {"$ts": "2024-01-01T00:00:00.500000Z"}}}',
+    '{"id": "n:4", "labels": ["Device"], "properties": {"device_id": "dev-1"}}',
+    '{"id": "n:5", "labels": ["Deployment"], "properties": {"cpu_utilization": 0.5, '
+    '"deployment_id": "dep-0000", "device_id": "dev-1", "energy_joules": 12.5, '
+    '"gpu_utilization": 0.25, "location": "field-site-a", "mean_accuracy": 0.9, '
+    '"mean_latency_ms": 42.0, "requests_served": 100, '
+    '"start_time": {"$ts": "2024-01-01T00:00:00Z"}}}',
+    '{"dst": "n:2", "id": "e:1", "properties": {}, "rel_type": "HAS_MODEL", "src": "n:1"}',
+    '{"dst": "n:3", "id": "e:2", "properties": {}, "rel_type": "HAS_DEPLOYMENT", "src": "n:2"}',
+    '{"dst": "n:4", "id": "e:3", "properties": {}, "rel_type": "RUNS_ON", "src": "n:3"}',
+    '{"dst": "n:5", "id": "e:4", "properties": {}, "rel_type": "HAS_DEPLOYMENT", "src": "n:2"}',
+    '{"dst": "n:4", "id": "e:5", "properties": {}, "rel_type": "RUNS_ON", "src": "n:5"}',
+    "",
+]).encode("utf-8")
+
+
+def _retrieve_body(registry, mc_id: str) -> str:
+    body = aggregated_to_jsonable(registry.retrieve_model_card(mc_id))
+    del body["_timings"]
+    return dumps(body)
+
+
+def test_legacy_tagged_timestamps_load_as_text(registry):
+    ingest_dict(registry, card_dict(deployments=[
+        deployment_dict(1, start_time="2024-01-01T02:00:00.5+02:00",
+                        end_time="2024-01-01T01:00:00Z"),
+        deployment_dict(0, end_time=None),
+    ]))
+    loaded = Registry(GraphStore.from_snapshot_bytes(LEGACY_SNAPSHOT))
+    assert _retrieve_body(loaded, "jdoe-resnet-1.0") == _retrieve_body(registry, "jdoe-resnet-1.0")
+    saved = loaded.store.snapshot_bytes()
+    assert b"$ts" not in saved
+    assert saved == registry.store.snapshot_bytes()
+    assert GraphStore.from_snapshot_bytes(saved).snapshot_bytes() == saved
 
 
 # --- search ---

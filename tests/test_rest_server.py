@@ -448,10 +448,15 @@ def _huge_requests(card):
     card["deployments"] = [deployment_dict(0, requests_served=10 ** 400)]
 
 
+def _start_before_year_1(card):
+    card["deployments"] = [deployment_dict(0, start_time="0001-01-01T00:00:00+01:00")]
+
+
 @pytest.mark.parametrize("fault,detail", [
     (_huge_accuracy, "ai_model.test_accuracy: must be finite"),
     (_null_features, "xai_analysis.top_features: must be a list"),
     (_huge_requests, "deployments[0].requests_served: must be finite"),
+    (_start_before_year_1, "deployments[0].start_time: not an ISO-8601 UTC timestamp"),
 ])
 def test_hostile_card_field_is_400(server, fault, detail):
     card = card_dict()
