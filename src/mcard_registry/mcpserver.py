@@ -26,7 +26,7 @@ say) is answered with -32603 too, so every request with an id gets a reply.
 
 from __future__ import annotations
 
-import http.client
+import re
 import secrets
 import socket
 import threading
@@ -37,7 +37,7 @@ from . import wire
 from .cards import _loads
 from .errors import ApiError
 from .registry import Registry
-from .rest import SOCKET_TIMEOUT_S, HttpService, JsonHandler
+from .rest import LINE_LIMIT, SOCKET_TIMEOUT_S, HttpService, JsonHandler, _read_fields
 
 PROTOCOL_VERSION = "2024-11-05"
 SERVER_INFO = {"name": "mcard-mcp", "version": "0.1.0"}
@@ -49,6 +49,10 @@ INVALID_PARAMS = -32602
 INTERNAL_ERROR = -32603
 NOT_INITIALIZED = -32002
 RESOURCE_NOT_FOUND = -32010
+
+# a REST reply's status line, and a chunk size line (RFC 9112 sections 4 and 7.1)
+_STATUS_LINE = re.compile(rb"HTTP/1\.[01] ([1-9][0-9][0-9])(?: [^\r\n]*)?\r?\n")
+_CHUNK_SIZE_LINE = re.compile(rb"([0-9A-Fa-f]{1,16})(?:;[^\r\n]*)?\r?\n")
 
 RESOURCE_DESCRIPTOR = {
     "uri_template": "modelcard://{mc_id}",
@@ -130,40 +134,92 @@ class NativeBackend:
         pass
 
 
+class _RestConnection:
+    """One kept-alive connection to REST, without Nagle, read through one buffer."""
+
+    def __init__(self, address: tuple[str, int]):
+        self.sock = socket.create_connection(address, timeout=60)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.rfile = self.sock.makefile("rb")
+
+    def exchange(self, request: bytes) -> tuple[int, bytes, bool]:
+        """The reply's status and body, and whether the connection stays open."""
+        self.sock.sendall(request)
+        line = self.rfile.readline(LINE_LIMIT + 1)
+        if not line:
+            raise ConnectionResetError("REST closed the connection before replying")
+        status = _STATUS_LINE.fullmatch(line)
+        if status is None:
+            raise ValueError(f"malformed status line from REST: {line[:80]!r}")
+        fields = _read_fields(self.rfile)
+        length = fields.get("content-length", "")
+        if fields.get("transfer-encoding", "").lower() == "chunked":
+            body = self._read_chunked()
+        elif length.isascii() and length.isdigit():
+            body = self.rfile.read(int(length))
+            if len(body) != int(length):
+                raise EOFError("REST closed the connection before the end of the body")
+        else:
+            raise ValueError("REST reply has neither Content-Length nor chunked framing")
+        return int(status[1]), body, fields.get("connection", "").lower() != "close"
+
+    def _read_chunked(self) -> bytes:
+        chunks = []
+        while True:
+            match = _CHUNK_SIZE_LINE.fullmatch(self.rfile.readline(LINE_LIMIT + 1))
+            if match is None:
+                raise ValueError("malformed chunk size line from REST")
+            if not (size := int(match[1], 16)):
+                _read_fields(self.rfile)  # the trailer section and its blank line
+                return b"".join(chunks)
+            chunks.append(self.rfile.read(size))
+            # a chunk cut short by the end of the stream fails here too
+            if self.rfile.readline(3) not in (b"\r\n", b"\n"):
+                raise ValueError("chunk data from REST not followed by CRLF")
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
+
+
 class LayeredBackend:
     """Adapter backend: one REST request per operation, its (status, body) returned verbatim.
 
-    All sessions share a lock-guarded stack of idle keep-alive connections:
-    a request takes the newest one, or dials when none is idle, and puts it
-    back once its response is read. A connection that REST has dropped is
-    redialled once; one that raises is closed, never put back."""
+    The hop is this module's own HTTP/1.1 client; the servers use no
+    ``http.client``. A request leaves in one send; a reply is a status line
+    and field lines within REST's own head limits (``rest._read_fields``),
+    then a body framed by Content-Length or chunked. All sessions share a
+    lock-guarded stack of idle connections: a request takes the newest one,
+    or dials when none is idle, and puts it back once its reply is read,
+    unless the reply says ``Connection: close``. One that REST has dropped
+    (no status line, a broken pipe, a reset) is redialled once; one that
+    raises or sends a malformed reply is closed, never put back."""
 
     def __init__(self, rest_base_url: str):
         split = urlsplit(rest_base_url)
         if split.scheme != "http" or not split.netloc:
             raise ValueError(f"rest_base_url must be http://host:port, got {rest_base_url!r}")
-        self._host = split.hostname
-        self._port = split.port or 80
-        self._idle: list[http.client.HTTPConnection] = []
+        self._address = (split.hostname, split.port or 80)
+        self._host_line = f"Host: {split.netloc}\r\n".encode("ascii")
+        self._idle: list[_RestConnection] = []
         self._lock = threading.Lock()
 
-    def _request(self, method: str, path: str, body: bytes | None, auth: str | None):
-        headers = {}
-        if auth:
-            headers["Authorization"] = auth
+    def _request(self, method: str, target: str, body: bytes | None, auth: str | None):
+        head = [f"{method} {target} HTTP/1.1\r\n".encode("ascii"), self._host_line]
+        if auth:  # the octets as received: the MCP head parser decoded them as latin-1
+            head.append(f"Authorization: {auth}\r\n".encode("latin-1"))
         if body is not None:
-            headers["Content-Type"] = "application/json"
+            head.append(b"Content-Type: application/json\r\nContent-Length: %d\r\n" % len(body))
+        request = b"".join(head) + b"\r\n" + (body or b"")
         with self._lock:
             conn = self._idle.pop() if self._idle else None
         for attempt in (0, 1):
             if conn is None:
-                conn = http.client.HTTPConnection(self._host, self._port, timeout=60)
+                conn = _RestConnection(self._address)
             try:
-                conn.request(method, path, body=body, headers=headers)
-                resp = conn.getresponse()
-                payload = resp.read()
+                status, payload, reusable = conn.exchange(request)
                 break
-            except (http.client.RemoteDisconnected, BrokenPipeError, ConnectionResetError):
+            except (BrokenPipeError, ConnectionResetError):
                 # stale keep-alive connection: REST never saw the request
                 conn.close()
                 conn = None
@@ -172,9 +228,12 @@ class LayeredBackend:
             except BaseException:
                 conn.close()
                 raise
-        with self._lock:
-            self._idle.append(conn)
-        return resp.status, payload.decode("utf-8")
+        if reusable:
+            with self._lock:
+                self._idle.append(conn)
+        else:
+            conn.close()
+        return status, payload.decode("utf-8")
 
     def read_card(self, mc_id: str, auth: str | None) -> tuple[int, str]:
         return self._request("GET", f"/modelcard/{quote(mc_id)}", None, auth)
@@ -292,9 +351,10 @@ class McpServer(HttpService):
         msg_id = message.get("id")
         if msg_id is None:
             return None  # notification: processed silently, never answered
+        params = message.get("params")
         try:
             return self._dispatch(session, msg_id, message["method"],
-                                  message.get("params") or {}, auth)
+                                  {} if params is None else params, auth)
         except Exception as exc:  # as REST's 500: the request still gets its reply
             return _error_response(msg_id, INTERNAL_ERROR, f"{type(exc).__name__}: {exc}")
 

@@ -93,6 +93,31 @@ class _Fields(dict):
         return dict.get(self, name.lower(), default)
 
 
+class HeadError(ValueError):
+    """A head that breaks ``_read_fields``'s rules; its args are the status a
+    server answers it with, and the detail."""
+
+
+def _read_fields(rfile) -> _Fields:
+    """Read a head's field lines up to its blank line or the end of the
+    stream (RFC 9112 section 5): at most ``MAX_FIELDS`` ``name: value`` lines
+    of at most ``LINE_LIMIT`` bytes each, else a HeadError (431 or 400)."""
+    fields = _Fields()
+    count = 0
+    while (line := rfile.readline(LINE_LIMIT + 1)) not in _HEAD_END:
+        count += 1
+        if len(line) > LINE_LIMIT:
+            raise HeadError(431, f"a field line is over {LINE_LIMIT} bytes")
+        if count > MAX_FIELDS:
+            raise HeadError(431, f"more than {MAX_FIELDS} field lines")
+        name, colon, value = line.decode("latin-1").rstrip("\r\n").partition(":")
+        # no folded lines, no space before the colon, no CR or NUL in a value
+        if not colon or not _TOKEN.fullmatch(name) or "\r" in value or "\0" in value:
+            raise HeadError(400, "field line must be name: value")
+        fields.setdefault(name.lower(), []).append(value.strip(" \t"))
+    return fields
+
+
 class QuietThreadingHTTPServer(HTTPServer):
     """HTTP server whose connections run on reused worker threads.
 
@@ -196,10 +221,9 @@ class JsonHandler(BaseHTTPRequestHandler):
         """Read one request head (RFC 9112 sections 3 and 5).
 
         Takes exactly ``METHOD SP target SP HTTP/1.0`` or ``HTTP/1.1``, then
-        at most ``MAX_FIELDS`` ``name: value`` lines of at most
-        ``LINE_LIMIT`` bytes each; sets ``command``, ``path``, ``url`` (the
-        split target) and ``headers``. Anything else gets a JSON error (400;
-        431 for a long or extra field line; 505 for HTTP/2 and later), the
+        the field lines ``_read_fields`` takes; sets ``command``, ``path``,
+        ``url`` (the split target) and ``headers``. Anything else gets a JSON
+        error (400; 431 from ``_read_fields``; 505 for HTTP/2 and later), the
         connection is closed, and False is returned.
         """
         self.close_connection = True
@@ -218,19 +242,10 @@ class JsonHandler(BaseHTTPRequestHandler):
             url = urlsplit(target)
         except ValueError:
             return self._reject(400, "malformed request target")
-        fields = _Fields()
-        count = 0
-        while (line := self.rfile.readline(LINE_LIMIT + 1)) not in _HEAD_END:
-            count += 1
-            if len(line) > LINE_LIMIT:
-                return self._reject(431, f"a field line is over {LINE_LIMIT} bytes")
-            if count > MAX_FIELDS:
-                return self._reject(431, f"more than {MAX_FIELDS} field lines")
-            name, colon, value = line.decode("latin-1").rstrip("\r\n").partition(":")
-            # no folded lines, no space before the colon, no CR or NUL in a value
-            if not colon or not _TOKEN.fullmatch(name) or "\r" in value or "\0" in value:
-                return self._reject(400, "field line must be name: value")
-            fields.setdefault(name.lower(), []).append(value.strip(" \t"))
+        try:
+            fields = _read_fields(self.rfile)
+        except HeadError as exc:
+            return self._reject(*exc.args)
         self.command, self.path, self.url, self.headers = method, target, url, fields
         connection = fields.get("connection", "").lower()
         if connection == "close":

@@ -1,6 +1,7 @@
 import json
 import random
 import socket
+import threading
 import time
 
 import pytest
@@ -9,7 +10,7 @@ import requests
 from mcard_registry.bench.clients import ClientError, McpClient
 from mcard_registry.mcpserver import McpConfig, McpServer
 from mcard_registry.registry import Registry
-from mcard_registry.rest import RestConfig, RestServer
+from mcard_registry.rest import CHUNK_THRESHOLD, LINE_LIMIT, RestConfig, RestServer
 
 from conftest import (
     HOSTILE_CONTENT_LENGTHS,
@@ -479,6 +480,19 @@ def test_layered_read_wraps_rest_body_verbatim(layered_stack):
         client.close()
 
 
+def test_layered_read_of_a_chunked_rest_body_is_byte_equal(layered_stack):
+    mcp, rest, registry = layered_stack
+    mc_id = ingest_dict(registry, card_dict(full_description="wildlife " * 150_000))
+    client = _open(mcp)
+    try:
+        replies = record_replies(rest)
+        _, text = client.read_resource(mc_id)
+        assert len(replies[0][3]) > CHUNK_THRESHOLD  # REST sent it chunked
+        assert text.encode("utf-8") == replies[0][3]
+    finally:
+        client.close()
+
+
 def test_layered_tools_proxy_one_rest_call_each(layered_stack):
     mcp, rest, registry = layered_stack
     _, exp_element, dep_element = _seed(registry)
@@ -570,6 +584,86 @@ def test_layered_redials_when_rest_drops_the_kept_alive_connection(layered_stack
         client.close()
 
 
+class FakeRest:
+    """A socket server that answers each request head with the next scripted
+    reply, ``(bytes, close after sending)``, and records for each request
+    the number of the connection it came on (0 for the first one accepted)."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.connections: list[int] = []
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.base_url = f"http://127.0.0.1:{self.listener.getsockname()[1]}"
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self):
+        number = 0
+        while True:
+            try:
+                conn, _ = self.listener.accept()
+            except OSError:  # the listener was closed
+                return
+            threading.Thread(target=self._serve, args=(conn, number), daemon=True).start()
+            number += 1
+
+    def _serve(self, conn, number):
+        with conn, conn.makefile("rb") as rfile:
+            while True:
+                while (line := rfile.readline()) not in (b"\r\n", b""):
+                    pass
+                if not line:
+                    return  # the client closed the connection
+                self.connections.append(number)
+                reply, close = self.replies.pop(0)
+                try:
+                    conn.sendall(reply)
+                except OSError:
+                    return
+                if close:
+                    return
+
+    def close(self):
+        self.listener.close()
+
+
+GOOD_REPLY = (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}", False)
+REFUSAL = b'{"error": "TOO_MANY_CONNECTIONS"}'
+# replies after which the connection must not be used again; the fake keeps
+# it open unless the second item says otherwise
+BAD_REPLIES = [
+    pytest.param((b"HTTP/1.1 503 Service Unavailable\r\nConnection: close\r\n"
+                  b"Content-Length: %d\r\n\r\n%s" % (len(REFUSAL), REFUSAL), False),
+                 id="connection-close"),
+    pytest.param((b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * LINE_LIMIT
+                  + b"\r\nContent-Length: 2\r\n\r\n{}", False), id="field-line-over-limit"),
+    pytest.param((b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                  b"zz\r\n{}\r\n0\r\n\r\n", False), id="bad-chunk-size"),
+    pytest.param((b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                  b"2\r\n{}}\r\n0\r\n\r\n", False), id="chunk-longer-than-its-size"),
+    pytest.param((b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"partial\"", True),
+                 id="close-mid-body"),
+]
+
+
+@pytest.mark.parametrize("bad_reply", BAD_REPLIES)
+def test_layered_drops_the_connection_after_a_bad_rest_reply(bad_reply):
+    # a good reply leaves connection 0 pooled; the bad reply comes on it
+    fake = FakeRest([GOOD_REPLY, bad_reply, GOOD_REPLY])
+    mcp = _layered_over(fake.base_url)
+    client = _open(mcp)
+    try:
+        assert client.read_resource("a-b-1")[1] == "{}"
+        response = client.request("resources/read", {"uri": "modelcard://a-b-1"})
+        assert response["error"]["code"] == -32603
+        # the next request dials afresh, and the bad reply was not retried
+        assert client.read_resource("a-b-1")[1] == "{}"
+        assert fake.connections == [0, 0, 1]
+    finally:
+        client.close()
+        mcp.stop()
+        fake.close()
+
+
 def test_mcp_unknown_get_path_is_404(native):
     server, _ = native
     import http.client
@@ -630,6 +724,25 @@ def test_native_and_layered_send_equal_error_text(twin_stack, tool, arguments):
         answers.append((text, is_error))
     assert answers[0] == answers[1]
     assert answers[0][1] is True
+
+
+@pytest.mark.parametrize("server", ["native", "layered"])
+def test_params_must_be_an_object_when_present(twin_stack, server):
+    client = _open(twin_stack[0] if server == "native" else twin_stack[1])
+    try:
+        for msg_id, params in enumerate((0, False, "", [], [1], "x", 1.5)):
+            status = client.post_raw({"jsonrpc": "2.0", "id": msg_id, "method": "tools/list",
+                                      "params": params})
+            assert status == 202
+            assert client.wait_response(msg_id)["error"] == {
+                "code": -32600, "message": "params must be an object"}, params
+        for message in ({"params": None}, {}):
+            status = client.post_raw({"jsonrpc": "2.0", "id": "ok", "method": "tools/list",
+                                      **message})
+            assert status == 202
+            assert len(client.wait_response("ok")["result"]["tools"]) == 2
+    finally:
+        client.close()
 
 
 def _layered_over(rest_base_url: str) -> McpServer:

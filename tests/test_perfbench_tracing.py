@@ -23,6 +23,7 @@ REQUIRED_SPANS = (
     "graphstore.GraphStore.find_nodes",
     "graphstore.read_lock_wait",
     "mcpserver.sse_write",
+    "mcpserver.LayeredBackend.read_card",
 )
 
 
@@ -46,14 +47,15 @@ def test_traced_launcher_records_every_layer():
         mc_id = card["external_id"]
         assert requests.post(f"{base}/modelcard", json=card, timeout=10).status_code == 201
         assert requests.get(f"{base}/modelcard/{mc_id}", timeout=10).status_code == 200
-        client = McpClient(f"127.0.0.1:{ports['native_mcp']}", timeout=10)
-        try:
-            client.connect()
-            client.handshake()
-            _, text = client.read_resource(mc_id)
-            assert json.loads(text)["model_card"]["external_id"] == mc_id
-        finally:
-            client.close()
+        for frontend in ("native_mcp", "layered_mcp"):
+            client = McpClient(f"127.0.0.1:{ports[frontend]}", timeout=10)
+            try:
+                client.connect()
+                client.handshake()
+                _, text = client.read_resource(mc_id)
+                assert json.loads(text)["model_card"]["external_id"] == mc_id
+            finally:
+                client.close()
 
         _send(proc, "spans")
         spans = json.loads(proc.stdout.readline())
