@@ -13,14 +13,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
 from urllib.parse import quote, urlparse
 
-from .errors import (
-    AmbiguousLabelError,
-    EmptyComponentError,
-    IdMismatchError,
-    MalformedJsonError,
-    NoSchemaLabelError,
-    SchemaViolationError,
-)
+from .errors import EmptyComponentError, IdMismatchError, MalformedJsonError, SchemaViolationError
 
 DOC_FORMAT_VERSION = "1.0"
 
@@ -41,11 +34,6 @@ SCHEMA_ADJACENCY: dict[tuple[str, str], str] = {
     ("Deployment", "Device"): "RUNS_ON",
     ("Experiment", "Deployment"): "INCLUDES",
 }
-
-SCHEMA_LABELS = frozenset(l for pair in SCHEMA_ADJACENCY for l in pair)
-
-# EdgeServer is accepted as an alias of Device at ingest and normalization.
-LABEL_ALIASES = {"EdgeServer": "Device"}
 
 LINKSET_MEDIA_TYPE = "application/linkset+json"
 
@@ -392,28 +380,12 @@ def parse_model_card(data: bytes | str) -> ModelCardDocument:
 
 # --- relationship inference ---
 
-def normalize_schema_label(labels: set[str] | frozenset[str]) -> str:
-    """Pick the single schema-relevant label out of a node's label set."""
-    mapped = {LABEL_ALIASES.get(l, l) for l in labels}
-    relevant = sorted(mapped & SCHEMA_LABELS)
-    if not relevant:
-        raise NoSchemaLabelError(f"no schema label among {sorted(labels)}")
-    if len(relevant) > 1:
-        raise AmbiguousLabelError(f"more than one schema label among {sorted(labels)}: {relevant}")
-    return relevant[0]
-
-
-def infer_relationship_type(
-    src_labels: set[str] | frozenset[str], dst_labels: set[str] | frozenset[str]
-) -> str:
-    if not src_labels or not dst_labels:
-        raise NoSchemaLabelError("both label sets must be non-empty")
-    pair = (normalize_schema_label(src_labels), normalize_schema_label(dst_labels))
+def infer_relationship_type(src_label: str, dst_label: str) -> str:
     try:
-        return SCHEMA_ADJACENCY[pair]
+        return SCHEMA_ADJACENCY[(src_label, dst_label)]
     except KeyError:
         raise SchemaViolationError(
-            "label pair", f"({pair[0]}, {pair[1]}) has no relationship in the schema"
+            "label pair", f"({src_label}, {dst_label}) has no relationship in the schema"
         ) from None
 
 

@@ -83,16 +83,6 @@ class IdMismatchError(ApiError):
     status = 400
 
 
-class NoSchemaLabelError(ApiError):
-    code = "NO_SCHEMA_LABEL"
-    status = 400
-
-
-class AmbiguousLabelError(ApiError):
-    code = "AMBIGUOUS"
-    status = 400
-
-
 # --- registry ---
 
 class NotFoundError(ApiError):

@@ -1,14 +1,15 @@
 """Embedded, transactional property-graph engine.
 
-Storage is in-memory maps (id -> node, id -> edge, label -> ids, node ->
-outgoing edges) guarded by a single-writer / multi-reader lock. Persistence
-is a whole-store snapshot in line-delimited JSON; there is no write-ahead log.
-Property values are JSON scalars or lists of them (a timestamp is its UTC
-text), so a snapshot writes them as they are.
+Storage is in-memory maps (id -> node, id -> edge, node -> outgoing edges)
+guarded by a single-writer / multi-reader lock. Persistence is a whole-store
+snapshot in line-delimited JSON; there is no write-ahead log. Each node
+carries exactly one label. Property values are JSON scalars or lists of them
+(a timestamp is its UTC text), so a snapshot writes them as they are.
 Element ordinals are allocated once per store lifetime and never reused,
-including after a rollback. Each label's identifying property (``KEY_FIELDS``)
-has an equality index, so looking a card, device or experiment up by its id
-costs the same at any store size. Commits append in ordinal order and a
+including after a rollback. A node is found by its label's identifying
+property (``KEY_FIELDS``) through an equality index, so looking a card,
+device or experiment up by its id costs the same at any store size; other
+nodes are reached along edges. Commits append in ordinal order and a
 snapshot load rejects an element out of it, so every map and index list is
 kept in ordinal order as it is written, and no read sorts.
 
@@ -21,9 +22,10 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import tempfile
 import threading
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from typing import Any
 
@@ -46,8 +48,8 @@ DEFAULT_INDEXED_FIELDS: dict[str, tuple[str, ...]] = {
     "ModelCard": ("name", "short_description", "full_description", "keywords", "author"),
 }
 
-# Identifying property per label; find_nodes answers a filter on exactly this
-# key from an equality index instead of scanning the label.
+# Identifying property per label: find_nodes looks a node up by its value in
+# an equality index. It must be a scalar.
 KEY_FIELDS: dict[str, str] = {
     "ModelCard": "external_id",
     "Device": "device_id",
@@ -84,7 +86,7 @@ def edge_id(ordinal: int) -> ElementId:
 @dataclass(frozen=True, slots=True)
 class NodeRecord:
     id: ElementId
-    labels: frozenset[str]
+    label: str
     properties: dict[str, Any]
 
 
@@ -128,17 +130,16 @@ def _validate_properties(properties: Mapping[str, Any]) -> dict[str, Any]:
     return out
 
 
-def _checked_node(
-    labels: Sequence[str] | set[str], properties: Mapping[str, Any]
-) -> tuple[frozenset[str], dict[str, Any]]:
-    """A node's labels and properties as a commit or a snapshot load admits
-    them: at least one label, each a non-empty string, and valid properties."""
-    if isinstance(labels, str):  # would read as a set of one-letter labels
-        raise EmptyLabelsError(f"labels must be a collection of strings, got {labels!r}")
-    label_set = frozenset(labels)
-    if not label_set or any(not isinstance(l, str) or not l for l in label_set):
-        raise EmptyLabelsError("a node needs at least one non-empty label")
-    return label_set, _validate_properties(properties)
+def _checked_node(label: str, properties: Mapping[str, Any]) -> dict[str, Any]:
+    """A node's properties as a commit or a snapshot load admits them, with
+    its label: one non-empty string label, valid properties, and a scalar
+    under the label's key."""
+    if not isinstance(label, str) or not label:
+        raise EmptyLabelsError(f"a node needs one non-empty string label, got {label!r}")
+    props = _validate_properties(properties)
+    if isinstance(props.get(KEY_FIELDS.get(label)), list):
+        raise InvalidPropertyError(f"{label} key {KEY_FIELDS[label]} must be a scalar")
+    return props
 
 
 def _copy_props(props: dict[str, Any]) -> dict[str, Any]:
@@ -232,12 +233,12 @@ class WriteTransaction:
         self.pending_nodes: list[NodeRecord] = []
         self.pending_edges: list[tuple[EdgeRecord, bool]] = []
 
-    def create_node(self, labels: Sequence[str] | set[str], properties: Mapping[str, Any]) -> ElementId:
+    def create_node(self, label: str, properties: Mapping[str, Any]) -> ElementId:
         self._check_open()
-        label_set, props = _checked_node(labels, properties)
+        props = _checked_node(label, properties)
         nid = node_id(self._store._next_node_ordinal)
         self._store._next_node_ordinal += 1
-        self.pending_nodes.append(NodeRecord(nid, label_set, props))
+        self.pending_nodes.append(NodeRecord(nid, label, props))
         return nid
 
     def create_edge(
@@ -265,7 +266,6 @@ class GraphStore:
         self._lock = _RWLock()
         self._nodes: dict[int, NodeRecord] = {}
         self._edges: dict[int, EdgeRecord] = {}
-        self._labels: dict[str, list[int]] = {}
         self._out: dict[int, list[int]] = {}
         self._next_node_ordinal = 1
         self._next_edge_ordinal = 1
@@ -327,13 +327,9 @@ class GraphStore:
     def _add_node(self, rec: NodeRecord) -> None:
         ordinal = rec.id.ordinal
         self._nodes[ordinal] = rec
-        for label in rec.labels:
-            self._labels.setdefault(label, []).append(ordinal)
-            key = KEY_FIELDS.get(label)
-            value = rec.properties.get(key) if key else None
-            # list values are unhashable; a filter on one falls back to the scan
-            if value is not None and not isinstance(value, list):
-                self._by_key[label].setdefault(value, []).append(ordinal)
+        key = KEY_FIELDS.get(rec.label)
+        if key in rec.properties:
+            self._by_key[rec.label].setdefault(rec.properties[key], []).append(ordinal)
         self._maybe_index(rec)
 
     def _add_edge(self, rec: EdgeRecord) -> None:
@@ -343,34 +339,16 @@ class GraphStore:
 
     def _maybe_index(self, rec: NodeRecord) -> None:
         fields: dict[str, str] = {}
-        for label in rec.labels:
-            for fname in DEFAULT_INDEXED_FIELDS.get(label, ()):
-                value = rec.properties.get(fname)
-                if value is None:
-                    continue
-                if isinstance(value, list):
-                    fields[fname] = " ".join(str(v) for v in value)
-                else:
-                    fields[fname] = str(value)
+        for fname in DEFAULT_INDEXED_FIELDS.get(rec.label, ()):
+            value = rec.properties.get(fname)
+            if value is None:
+                continue
+            if isinstance(value, list):
+                fields[fname] = " ".join(str(v) for v in value)
+            else:
+                fields[fname] = str(value)
         if fields:
             self._index.add_document(rec.id.ordinal, fields)
-
-    # --- single-mutation helpers ---
-
-    def create_node(self, labels: Sequence[str] | set[str], properties: Mapping[str, Any]) -> ElementId:
-        return self.atomic_write(lambda tx: tx.create_node(labels, properties))
-
-    def create_edge(
-        self,
-        src: ElementId,
-        dst: ElementId,
-        rel_type: str,
-        properties: Mapping[str, Any] | None = None,
-        ensure_unique: bool = False,
-    ) -> ElementId:
-        return self.atomic_write(
-            lambda tx: tx.create_edge(src, dst, rel_type, properties, ensure_unique)
-        )
 
     # --- reads ---
 
@@ -378,42 +356,19 @@ class GraphStore:
         """Hold the read lock across several queries (one-session retrieval)."""
         return _ReadSession(self._lock)
 
-    def node_labels(self, element_id: ElementId) -> frozenset[str] | None:
+    def node_label(self, element_id: ElementId) -> str | None:
         with self.read_session():
             if element_id.kind != "node":
                 return None
             rec = self._nodes.get(element_id.ordinal)
-            return rec.labels if rec else None
+            return rec.label if rec else None
 
-    def find_nodes(
-        self, label: str, property_equals: Mapping[str, Any] | None = None
-    ) -> list[NodeRecord]:
-        if not label:
-            raise EmptyLabelsError("label must be non-empty")
-        filters = dict(property_equals or {})
+    def find_nodes(self, label: str, key: Any) -> list[NodeRecord]:
+        """The ``label`` nodes whose ``KEY_FIELDS[label]`` property equals
+        ``key``, in ordinal order, from the equality index."""
         with self.read_session():
-            ordinals = self._key_lookup(label, filters)
-            if ordinals is None:
-                ordinals = [
-                    ordinal for ordinal in self._labels.get(label, ())
-                    if all(self._nodes[ordinal].properties.get(k) == v
-                           for k, v in filters.items())
-                ]
+            ordinals = self._by_key[label].get(key, ())
             return [self._copy_node(self._nodes[ordinal]) for ordinal in ordinals]
-
-    def _key_lookup(self, label: str, filters: dict[str, Any]) -> list[int] | None:
-        """Ordinals from the equality index, or None when the filter is not
-        exactly the label's key with a hashable value."""
-        key = KEY_FIELDS.get(label)
-        if key is None or len(filters) != 1 or key not in filters:
-            return None
-        value = filters[key]
-        if value is None:  # the scan matches every node that lacks the key
-            return None
-        try:
-            return self._by_key[label].get(value, ())
-        except TypeError:  # unhashable value
-            return None
 
     def edge_exists(self, src: ElementId, dst: ElementId, rel_type: str) -> bool:
         with self.read_session():
@@ -444,7 +399,7 @@ class GraphStore:
             hits = []
             for ordinal, score in self._index.query(text, limit):
                 rec = self._nodes.get(ordinal)
-                if rec is not None and label in rec.labels:
+                if rec is not None and rec.label == label:
                     hits.append((score, tuple(rec.properties.get(k, "") for k in keys)))
             return hits
 
@@ -467,7 +422,7 @@ class GraphStore:
         return iter(records)
 
     def _copy_node(self, rec: NodeRecord) -> NodeRecord:
-        return NodeRecord(rec.id, rec.labels, _copy_props(rec.properties))
+        return NodeRecord(rec.id, rec.label, _copy_props(rec.properties))
 
     def _copy_edge(self, rec: EdgeRecord) -> EdgeRecord:
         return EdgeRecord(rec.id, rec.src, rec.dst, rec.rel_type, _copy_props(rec.properties))
@@ -504,7 +459,7 @@ class GraphStore:
             for rec in (*self._nodes.values(), *self._edges.values()):
                 obj = {"id": str(rec.id), "properties": rec.properties}
                 if isinstance(rec, NodeRecord):
-                    obj["labels"] = sorted(rec.labels)
+                    obj["labels"] = [rec.label]
                 else:
                     obj.update(src=str(rec.src), dst=str(rec.dst), rel_type=rec.rel_type)
                 lines.append(json.dumps(obj, sort_keys=True, ensure_ascii=False))
@@ -517,7 +472,10 @@ class GraphStore:
                 data = fh.read()
         except OSError as exc:
             raise FileIoError(f"cannot read snapshot from {path}: {exc}") from exc
-        return cls.from_snapshot_bytes(data)
+        try:
+            return cls.from_snapshot_bytes(data)
+        except CorruptSnapshotError as exc:
+            raise CorruptSnapshotError(f"snapshot {path}: {exc.detail}") from exc
 
     @classmethod
     def from_snapshot_bytes(cls, data: bytes) -> "GraphStore":
@@ -566,7 +524,12 @@ class GraphStore:
         if eid.kind == "node":
             if not next(reversed(self._nodes), -1) < eid.ordinal < self._next_node_ordinal:
                 raise ValueError(f"node ordinal {eid.ordinal} out of order or out of range")
-            self._add_node(NodeRecord(eid, *_checked_node(obj["labels"], props)))
+            labels = obj["labels"]
+            if not isinstance(labels, list) or len(labels) != 1:
+                raise ValueError(f"labels must be a list of one label, got {labels!r}")
+            # interned: every node of a label shares one string, as after ingest
+            label = sys.intern(labels[0])
+            self._add_node(NodeRecord(eid, label, _checked_node(label, props)))
         else:
             if not next(reversed(self._edges), -1) < eid.ordinal < self._next_edge_ordinal:
                 raise ValueError(f"edge ordinal {eid.ordinal} out of order or out of range")

@@ -401,7 +401,9 @@ class McpServer(HttpService):
 
     def _tools_call(self, msg_id, params, auth) -> dict:
         name = params.get("name")
-        arguments = params.get("arguments") or {}
+        arguments = params.get("arguments")
+        if arguments is None:
+            arguments = {}
         if not isinstance(name, str):
             return _error_response(msg_id, INVALID_PARAMS, "tool name required")
         if not isinstance(arguments, dict):

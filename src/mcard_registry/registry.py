@@ -79,18 +79,18 @@ class Registry:
         mc_id = doc.external_id
 
         def work(tx: WriteTransaction) -> None:
-            if self.store.find_nodes("ModelCard", {"external_id": mc_id}):
+            if self.store.find_nodes("ModelCard", mc_id):
                 raise DuplicateCardError(f"card {mc_id} already ingested")
-            card_node = tx.create_node({"ModelCard"}, _properties(doc))
-            model_node = tx.create_node({"Model"}, _properties(doc.ai_model))
+            card_node = tx.create_node("ModelCard", _properties(doc))
+            model_node = tx.create_node("Model", _properties(doc.ai_model))
             tx.create_edge(card_node, model_node, "HAS_MODEL")
             if doc.bias_analysis is not None:
-                bias_node = tx.create_node({"BiasAnalysis"}, _properties(doc.bias_analysis))
+                bias_node = tx.create_node("BiasAnalysis", _properties(doc.bias_analysis))
                 tx.create_edge(card_node, bias_node, "HAS_BIAS_ANALYSIS")
             xai = doc.xai_analysis
             if xai is not None:
                 xai_node = tx.create_node(
-                    {"XAIAnalysis"},
+                    "XAIAnalysis",
                     {
                         "method": xai.method,
                         "feature_names": [f.name for f in xai.top_features],
@@ -113,15 +113,15 @@ class Registry:
         dep: DeploymentRecord,
         pending_devices: dict[str, ElementId],
     ) -> ElementId:
-        dep_node = tx.create_node({"Deployment"}, _properties(dep))
+        dep_node = tx.create_node("Deployment", _properties(dep))
         tx.create_edge(model_node, dep_node, "HAS_DEPLOYMENT")
         device_node = pending_devices.get(dep.device_id)
         if device_node is None:
-            existing = self.store.find_nodes("Device", {"device_id": dep.device_id})
+            existing = self.store.find_nodes("Device", dep.device_id)
             if existing:
                 device_node = existing[0].id
             else:
-                device_node = tx.create_node({"Device"}, {"device_id": dep.device_id})
+                device_node = tx.create_node("Device", {"device_id": dep.device_id})
                 pending_devices[dep.device_id] = device_node
         tx.create_edge(dep_node, device_node, "RUNS_ON")
         return dep_node
@@ -130,7 +130,7 @@ class Registry:
 
     def _card(self, mc_id: str) -> NodeRecord:
         """The ModelCard node of card ``mc_id``; NotFoundError if there is none."""
-        found = self.store.find_nodes("ModelCard", {"external_id": mc_id})
+        found = self.store.find_nodes("ModelCard", mc_id)
         if not found:
             raise NotFoundError(f"no model card {mc_id!r}")
         return found[0]
@@ -210,23 +210,23 @@ class Registry:
 
     # --- edge pipeline ---
 
-    def _node(self, which: str, raw: str) -> tuple[ElementId, frozenset[str]]:
-        """The node an element id names, and its labels."""
+    def _node(self, which: str, raw: str) -> tuple[ElementId, str]:
+        """The node an element id names, and its label."""
         try:
             element_id = ElementId.parse(raw)
         except ValueError:
             raise NodeNotFoundError(which, f"{which} id {raw!r} names no node") from None
-        labels = self.store.node_labels(element_id)
-        if labels is None:
+        label = self.store.node_label(element_id)
+        if label is None:
             raise NodeNotFoundError(which, f"{which} node {raw} not found")
-        return element_id, labels
+        return element_id, label
 
     def create_edge(self, src_element_id: str, dst_element_id: str) -> EdgeCreated:
         # stage 1: both nodes exist, labels fetched
-        src, src_labels = self._node("src", src_element_id)
-        dst, dst_labels = self._node("dst", dst_element_id)
+        src, src_label = self._node("src", src_element_id)
+        dst, dst_label = self._node("dst", dst_element_id)
         # stage 2: relationship inferred from the label pair and validated
-        rel_type = infer_relationship_type(src_labels, dst_labels)
+        rel_type = infer_relationship_type(src_label, dst_label)
         # stage 3: duplicate check
         if self.store.edge_exists(src, dst, rel_type):
             raise DuplicateEdgeError(f"{rel_type} edge {src} -> {dst} already exists")
@@ -252,15 +252,15 @@ class Registry:
             raise SchemaViolationError("experiment_id", "must be non-empty")
         targets: dict[ElementId, str] = {}
         for raw in deployment_element_ids or []:
-            element_id, labels = self._node("deployment", raw)
+            element_id, label = self._node("deployment", raw)
             if element_id in targets:
                 raise SchemaViolationError("deployment_element_ids", f"repeats {raw}")
-            targets[element_id] = infer_relationship_type({"Experiment"}, labels)
+            targets[element_id] = infer_relationship_type("Experiment", label)
 
         def work(tx: WriteTransaction) -> ElementId:
-            if self.store.find_nodes("Experiment", {"experiment_id": experiment_id}):
+            if self.store.find_nodes("Experiment", experiment_id):
                 raise DuplicateExperimentError(f"experiment {experiment_id} already recorded")
-            exp_node = tx.create_node({"Experiment"}, {"experiment_id": experiment_id})
+            exp_node = tx.create_node("Experiment", {"experiment_id": experiment_id})
             for dep_node, rel_type in targets.items():
                 tx.create_edge(exp_node, dep_node, rel_type)
             return exp_node

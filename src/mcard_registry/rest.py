@@ -402,6 +402,9 @@ def _make_handler(server: RestServer):
         def _route(self, method: str):
             try:
                 path = unquote(self.url.path)
+                # split before decoding: an encoded "/" stays inside its
+                # segment (RFC 3986 section 2.2)
+                parts = [unquote(p) for p in self.url.path.split("/") if p]
                 query = parse_qs(self.url.query, keep_blank_values=True)
                 if method == "POST":
                     self._body = self._read_body()
@@ -409,7 +412,6 @@ def _make_handler(server: RestServer):
                         return
                 if not self._authorized(path):
                     return
-                parts = [p for p in path.split("/") if p]
                 if path == "/health" and method == "GET":
                     return self._health()
                 if path == "/search" and method == "GET":

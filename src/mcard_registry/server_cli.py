@@ -3,7 +3,8 @@ at once for benchmarking.
 
 With ``--snapshot FILE`` the store is loaded from FILE at startup (when it
 exists) and saved back to it, atomically, once the servers have stopped on
-SIGINT or SIGTERM.
+SIGINT or SIGTERM. A bad setting (an address, a REST base URL, a snapshot
+that cannot be read) is one line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import signal
 import sys
 import time
 
-from .errors import FileIoError
+from .errors import ApiError, FileIoError
 from .graphstore import GraphStore
 from .mcpserver import McpConfig, McpServer
 from .registry import Registry
@@ -124,7 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ApiError, ValueError) as exc:
+        print(f"mcard-server: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

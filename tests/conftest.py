@@ -120,6 +120,21 @@ def ingest_dict(registry: Registry, card: dict) -> str:
     return registry.ingest_model_card(parse_model_card(json.dumps(card)))
 
 
+def create_node(store, label, properties):
+    """One node committed in its own transaction."""
+    return store.atomic_write(lambda tx: tx.create_node(label, properties))
+
+
+def create_edge(store, src, dst, rel_type, properties=None):
+    """One edge committed in its own transaction."""
+    return store.atomic_write(lambda tx: tx.create_edge(src, dst, rel_type, properties))
+
+
+def nodes_labelled(store, label) -> list:
+    """Every node of ``label`` in ordinal order: a scan over ``iter_nodes``."""
+    return [rec for rec in store.iter_nodes() if rec.label == label]
+
+
 def record_replies(server) -> list[tuple[str, str, int, bytes]]:
     """From now on, record (method, path, status, body) for every reply the
     RestServer ``server`` sends, before the reply's first byte goes out: a

@@ -31,10 +31,15 @@ from mcard_registry.rest import RestConfig, RestServer
 from mcard_registry.wanproxy import WanProfile, WanProxy
 
 import conftest
-from conftest import card_dict, deployment_dict, ingest_dict, random_card_dict, record_replies
+from conftest import (
+    card_dict,
+    deployment_dict,
+    ingest_dict,
+    nodes_labelled,
+    random_card_dict,
+    record_replies,
+)
 from test_registry import aggregated_as_plain, traversal_oracle
-
-SCHEMA_LABELS = {l for pair in SCHEMA_ADJACENCY for l in pair}
 
 
 def _announce(name: str, detail: str) -> None:
@@ -142,8 +147,8 @@ def test_03_edge_pipeline_properties():
         ingest_dict(registry, random_card_dict(rng, idx))
     for i in range(6):
         registry.record_experiment(f"exp-{i}")
-    labels_by_id = {str(n.id): n.labels for n in registry.store.iter_nodes()}
-    candidates = list(labels_by_id) + ["n:40404", "e:1", "not-an-id"]
+    label_by_id = {str(n.id): n.label for n in registry.store.iter_nodes()}
+    candidates = list(label_by_id) + ["n:40404", "e:1", "not-an-id"]
     successes = failures = 0
     for _ in range(1000):
         src, dst = rng.choice(candidates), rng.choice(candidates)
@@ -155,9 +160,7 @@ def test_03_edge_pipeline_properties():
             assert registry.store.snapshot_bytes() == before
             continue
         successes += 1
-        src_label = next(iter(labels_by_id[src] & SCHEMA_LABELS))
-        dst_label = next(iter(labels_by_id[dst] & SCHEMA_LABELS))
-        assert created.rel_type == SCHEMA_ADJACENCY[(src_label, dst_label)]
+        assert created.rel_type == SCHEMA_ADJACENCY[(label_by_id[src], label_by_id[dst])]
         with pytest.raises(DuplicateEdgeError):
             registry.create_edge(src, dst)
     assert successes > 0 and failures > 0
@@ -315,8 +318,8 @@ def test_07_cross_frontend_equivalence():
             assert _strip_timings(json.loads(native_text)) == _strip_timings(rest_body)
             assert _strip_timings(json.loads(layered_text)) == _strip_timings(rest_body)
 
-        exp_ids = [str(n.id) for n in registries[0].store.find_nodes("Experiment")]
-        dep_ids = [str(n.id) for n in registries[0].store.find_nodes("Deployment")]
+        exp_ids = [str(n.id) for n in nodes_labelled(registries[0].store, "Experiment")]
+        dep_ids = [str(n.id) for n in nodes_labelled(registries[0].store, "Deployment")]
         checked = 0
         for k in range(20):
             kind = rng.choice(["edge", "edge", "edge", "search"])
@@ -426,9 +429,9 @@ def test_09_jsonrpc_session_conformance(micro_stack):
 def test_10_generator_fidelity(realworld_stack, tmp_path):
     stack, _proxies, corpus = realworld_stack
     store = stack.registry.store
-    assert len(store.find_nodes("Deployment")) == 10_000
-    assert len(store.find_nodes("Experiment")) == 1_000
-    assert len(store.find_nodes("Device")) == 100
+    assert len(nodes_labelled(store, "Deployment")) == 10_000
+    assert len(nodes_labelled(store, "Experiment")) == 1_000
+    assert len(nodes_labelled(store, "Device")) == 100
     spec = make_spec("realworld", 42)
     write_corpus(spec, str(tmp_path / "again"))
     regenerated = sorted((tmp_path / "again").rglob("*.json"))

@@ -14,7 +14,7 @@ from mcard_registry.mcpserver import McpConfig, McpServer
 from mcard_registry.registry import Registry
 from mcard_registry.rest import RestConfig, RestServer
 
-from conftest import card_dict
+from conftest import card_dict, nodes_labelled
 
 
 @pytest.fixture
@@ -159,7 +159,7 @@ def test_server_cli_saves_snapshot_on_sigterm(tmp_path):
         code = _stop(proc, signal.SIGTERM)
     assert code == 0
     store = GraphStore.snapshot_load(str(snapshot))
-    assert [n.properties["external_id"] for n in store.find_nodes("ModelCard")] == [mc_id]
+    assert [n.properties["external_id"] for n in nodes_labelled(store, "ModelCard")] == [mc_id]
 
     proc, base = _start_all("--snapshot", str(snapshot))
     try:
@@ -167,6 +167,37 @@ def test_server_cli_saves_snapshot_on_sigterm(tmp_path):
     finally:
         code = _stop(proc, signal.SIGTERM)
     assert code == 0
+
+
+def _snapshot_dir(tmp_path):
+    return str(tmp_path)  # exists, but a directory cannot be read as a file
+
+
+def _corrupt_snapshot(tmp_path):
+    path = tmp_path / "store.jsonl"
+    path.write_text('{"format": "mcgraph-snapshot", "version": 1}\n')
+    return str(path)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["mcp", "--backend", "layered"], "needs rest_base_url"),
+    (["mcp", "--backend", "layered", "--rest-base", "localhost:8080"],
+     "must be http://host:port"),
+    (["mcp", "--backend", "layered", "--rest-base", "ftp://127.0.0.1:8080"],
+     "must be http://host:port"),
+    (["rest", "--snapshot", _snapshot_dir], "cannot read snapshot"),
+    (["mcp", "--snapshot", _corrupt_snapshot], "ordinal counters"),
+    (["all", "--snapshot", _corrupt_snapshot], "ordinal counters"),
+], ids=["layered-without-rest-base", "rest-base-without-scheme", "rest-base-not-http",
+        "unreadable-snapshot", "corrupt-snapshot-mcp", "corrupt-snapshot-all"])
+def test_server_cli_bad_setting_is_one_line_and_exit_2(tmp_path, capsys, argv, message):
+    from mcard_registry.server_cli import main as server_main
+    # each setting fails before a port is bound
+    assert server_main([arg(tmp_path) if callable(arg) else arg for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("mcard-server: error: "), err
+    assert message in err
 
 
 def test_all_help_screens_render():

@@ -18,7 +18,7 @@ from mcard_registry.fulltext import B, K1, FullTextIndex, tokenize
 from mcard_registry.graphstore import GraphStore
 from mcard_registry.registry import Registry
 
-from conftest import card_dict, ingest_dict
+from conftest import card_dict, create_node, ingest_dict
 
 
 def test_tokenizer_rules():
@@ -262,7 +262,7 @@ def test_ranked_cache_follows_new_documents():
 def test_ranked_cache_follows_new_documents_across_snapshot_load(tmp_path):
     store = GraphStore()
     for text in ("camera trap", "trap trap", "speech model", "camera"):
-        store.create_node(["ModelCard"], {"name": text})
+        create_node(store, "ModelCard", {"name": text})
     queries = ["camera", "trap camera", "model speech trap"]
     before = {q: store._index.query(q, 10) for q in queries}
     path = str(tmp_path / "snap.jsonl")
@@ -270,7 +270,7 @@ def test_ranked_cache_follows_new_documents_across_snapshot_load(tmp_path):
     loaded = GraphStore.snapshot_load(path)
     assert {q: loaded._index.query(q, 10) for q in queries} == before
     for text in ("camera camera", "wildlife trap", "model"):
-        loaded.create_node(["ModelCard"], {"name": text})
+        create_node(loaded, "ModelCard", {"name": text})
         fresh = GraphStore.from_snapshot_bytes(loaded.snapshot_bytes())
         for q in queries:
             assert _exact(loaded._index.query(q, 10)) == _exact(fresh._index.query(q, 10))

@@ -15,6 +15,8 @@ from mcard_registry.registry import Registry
 from mcard_registry.rest import RestConfig, RestServer
 from mcard_registry import wire
 
+from conftest import nodes_labelled
+
 
 def _dir_bytes(root):
     out = {}
@@ -98,9 +100,9 @@ def test_ingest_corpus_builds_manifest(tmp_path):
         assert len(manifest["experiment_element_ids"]) == 5
         assert len(manifest["deployment_element_ids"]) == 15
         assert manifest["search_terms"]
-        assert len(registry.store.find_nodes("ModelCard")) == 3
-        assert len(registry.store.find_nodes("Experiment")) == 5
-        assert len(registry.store.find_nodes("Deployment")) == 15
+        assert len(nodes_labelled(registry.store, "ModelCard")) == 3
+        assert len(nodes_labelled(registry.store, "Experiment")) == 5
+        assert len(nodes_labelled(registry.store, "Deployment")) == 15
         on_disk = json.loads((tmp_path / "manifest.json").read_text())
         assert on_disk == manifest
     finally:
@@ -113,7 +115,7 @@ def test_generated_experiments_carry_no_edges(tmp_path):
     try:
         spec = make_spec("micro", seed=7, cards=2, experiments=4)
         ingest_corpus(spec, str(tmp_path), server.base_url)
-        for exp in registry.store.find_nodes("Experiment"):
+        for exp in nodes_labelled(registry.store, "Experiment"):
             assert registry.store.neighbors(exp.id, "INCLUDES") == []
     finally:
         server.stop()

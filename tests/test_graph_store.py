@@ -17,25 +17,32 @@ from mcard_registry.fulltext import tokenize
 from mcard_registry.graphstore import KEY_FIELDS, ElementId, GraphStore, node_id
 from mcard_registry.registry import Registry
 
-from conftest import card_dict, deployment_dict, ingest_dict
+from conftest import (
+    card_dict,
+    create_edge,
+    create_node,
+    deployment_dict,
+    ingest_dict,
+    nodes_labelled,
+)
 
 
 def test_create_node_first_allocation():
     store = GraphStore()
-    nid = store.create_node({"ModelCard"}, {"external_id": "jdoe-resnet-1.0"})
+    nid = create_node(store, "ModelCard", {"external_id": "jdoe-resnet-1.0"})
     assert str(nid) == "n:1"
 
 
 def test_create_node_empty_labels_rejected():
     store = GraphStore()
     with pytest.raises(EmptyLabelsError):
-        store.create_node(set(), {"x": 1})
+        create_node(store, set(), {"x": 1})
 
 
 def test_sequential_creates_get_distinct_ids():
     store = GraphStore()
-    first = store.create_node({"A"}, {})
-    second = store.create_node({"A"}, {})
+    first = create_node(store, "A", {})
+    second = create_node(store, "A", {})
     assert (str(first), str(second)) == ("n:1", "n:2")
 
 
@@ -43,8 +50,8 @@ def test_atomic_write_rollback_on_failure():
     store = GraphStore()
 
     def work(tx):
-        tx.create_node({"A"}, {})
-        tx.create_node({"A"}, {})
+        tx.create_node("A", {})
+        tx.create_node("A", {})
         raise RuntimeError("boom")
 
     with pytest.raises(WorkFailedError):
@@ -54,7 +61,7 @@ def test_atomic_write_rollback_on_failure():
 
 def test_atomic_write_success_returns_result():
     store = GraphStore()
-    nid = store.atomic_write(lambda tx: tx.create_node({"A"}, {"k": "v"}))
+    nid = store.atomic_write(lambda tx: tx.create_node("A", {"k": "v"}))
     assert store.node_count() == 1
     assert [(n.id, n.properties) for n in store.iter_nodes()] == [(nid, {"k": "v"})]
 
@@ -63,7 +70,7 @@ def test_atomic_write_dangling_edge_rejected():
     store = GraphStore()
 
     def work(tx):
-        a = tx.create_node({"A"}, {})
+        a = tx.create_node("A", {})
         tx.create_edge(a, node_id(999), "REL")
 
     with pytest.raises(InvalidPropertyError):
@@ -74,29 +81,16 @@ def test_atomic_write_dangling_edge_rejected():
 
 def test_node_labels():
     store = GraphStore()
-    single = store.create_node({"ModelCard"}, {})
-    multi = store.create_node({"Device", "Gateway"}, {})
-    assert store.node_labels(single) == frozenset({"ModelCard"})
-    assert store.node_labels(multi) == frozenset({"Device", "Gateway"})
-    assert store.node_labels(node_id(404)) is None
-
-
-def test_find_nodes_enumerates_label_matches():
-    store = GraphStore()
-    ids = [store.create_node({"Deployment"}, {"deployment_id": f"d{i}"}) for i in range(3)]
-    store.create_node({"Device"}, {})
-    found = store.find_nodes("Deployment")
-    assert [n.id for n in found] == ids
-    assert store.find_nodes("NoSuchLabel") == []
-    assert store.find_nodes("Deployment", {"missing_key": 1}) == []
-    assert [n.id for n in store.find_nodes("Deployment", {"deployment_id": "d1"})] == [ids[1]]
+    single = create_node(store, "ModelCard", {})
+    assert store.node_label(single) == "ModelCard"
+    assert store.node_label(node_id(404)) is None
 
 
 def test_edge_exists_is_directed_and_typed():
     store = GraphStore()
-    a = store.create_node({"ModelCard"}, {})
-    b = store.create_node({"Model"}, {})
-    store.create_edge(a, b, "HAS_MODEL")
+    a = create_node(store, "ModelCard", {})
+    b = create_node(store, "Model", {})
+    create_edge(store, a, b, "HAS_MODEL")
     assert store.edge_exists(a, b, "HAS_MODEL") is True
     assert store.edge_exists(b, a, "HAS_MODEL") is False
     assert store.edge_exists(a, b, "OTHER") is False
@@ -104,12 +98,12 @@ def test_edge_exists_is_directed_and_typed():
 
 def test_neighbors_ordering_and_filters():
     store = GraphStore()
-    model = store.create_node({"Model"}, {})
-    deployments = [store.create_node({"Deployment"}, {"i": i}) for i in range(3)]
+    model = create_node(store, "Model", {})
+    deployments = [create_node(store, "Deployment", {"i": i}) for i in range(3)]
     # edges in the reverse of node order: the result follows the edges
     for d in reversed(deployments):
-        store.create_edge(model, d, "HAS_DEPLOYMENT")
-    store.create_edge(model, deployments[0], "AUDITS")
+        create_edge(store, model, d, "HAS_DEPLOYMENT")
+    create_edge(store, model, deployments[0], "AUDITS")
     out = store.neighbors(model, "HAS_DEPLOYMENT")
     assert [n.id for n in out] == deployments[::-1]
     assert [n.properties["i"] for n in out] == [2, 1, 0]
@@ -120,23 +114,23 @@ def test_neighbors_ordering_and_filters():
 
 def test_records_are_copies():
     store = GraphStore()
-    store.create_node({"A"}, {"tags": ["x"]})
-    rec, = store.find_nodes("A")
+    create_node(store, "Device", {"device_id": "d", "tags": ["x"]})
+    rec, = store.find_nodes("Device", "d")
     rec.properties["tags"].append("y")
-    assert store.find_nodes("A")[0].properties["tags"] == ["x"]
+    assert store.find_nodes("Device", "d")[0].properties["tags"] == ["x"]
 
 
 # --- snapshots ---
 
 def _populated_store():
     store = GraphStore()
-    card = store.create_node(
-        {"ModelCard"},
+    card = create_node(
+        store, "ModelCard",
         {"external_id": "a-b-1", "name": "camera trap classifier", "score": 0.5,
          "keywords": ["edge", "wildlife"]},
     )
-    model = store.create_node({"Model"}, {"name": "b"})
-    store.create_edge(card, model, "HAS_MODEL", {"weight": 1})
+    model = create_node(store, "Model", {"name": "b"})
+    create_edge(store, card, model, "HAS_MODEL", {"weight": 1})
     return store
 
 
@@ -150,7 +144,7 @@ def test_snapshot_round_trip_preserves_everything(tmp_path):
     assert [str(n.id) for n in loaded.iter_nodes()] == [str(n.id) for n in store.iter_nodes()]
     assert loaded._index.query("camera", 10) == store._index.query("camera", 10)
     # next-id counters restored: new allocations continue, never reuse
-    fresh = loaded.create_node({"A"}, {})
+    fresh = create_node(loaded, "A", {})
     assert fresh.ordinal == 3
 
 
@@ -214,7 +208,7 @@ def test_failed_snapshot_save_keeps_previous_file(tmp_path, monkeypatch, inject)
     path = tmp_path / "snap.jsonl"
     store.snapshot_save(str(path))
     before = path.read_bytes()
-    store.create_node({"Extra"}, {"k": 1})
+    create_node(store, "Extra", {"k": 1})
     with pytest.raises(inject(store, monkeypatch)):
         store.snapshot_save(str(path))
     assert path.read_bytes() == before
@@ -253,7 +247,7 @@ def test_id_monotonicity_across_rollbacks(plan):
         fail = n_nodes % 2 == 1  # odd steps roll back
 
         def work(tx, n=n_nodes, fail=fail):
-            allocated = [tx.create_node({"A"}, {}) for _ in range(n)]
+            allocated = [tx.create_node("A", {}) for _ in range(n)]
             if fail:
                 raise RuntimeError("injected")
             return allocated
@@ -284,14 +278,14 @@ def test_failure_atomicity_snapshot_equality(n_setup, fail_at):
     """
     store = GraphStore()
     for i in range(n_setup):
-        store.create_node({"Seed"}, {"i": i})
+        create_node(store, "Seed", {"i": i})
     before = store.snapshot_bytes()
 
     def work(tx):
         for step in range(5):
             if step == fail_at:
                 raise RuntimeError("injected")
-            tx.create_node({"X"}, {"step": step})
+            tx.create_node("X", {"step": step})
 
     with pytest.raises(WorkFailedError):
         store.atomic_write(work)
@@ -312,8 +306,8 @@ def test_index_graph_consistency():
     ]
     ids = {}
     for ext, desc in texts:
-        nid = store.create_node(
-            {"ModelCard"},
+        nid = create_node(
+            store, "ModelCard",
             {"external_id": ext, "name": ext, "short_description": desc,
              "full_description": "", "keywords": [], "author": "someone"},
         )
@@ -330,7 +324,7 @@ def test_transaction_handle_states():
 
     def ok(tx):
         states["during"] = tx.state
-        tx.create_node({"A"}, {})
+        tx.create_node("A", {})
 
     store.atomic_write(ok)
     assert states["during"] == "open"
@@ -344,14 +338,14 @@ def test_transaction_handle_states():
 
 def test_concurrent_readers_with_writer():
     store = GraphStore()
-    store.create_node({"A"}, {"i": 0})
+    create_node(store, "Device", {"device_id": "d", "i": 0})
     stop = threading.Event()
     errors: list[Exception] = []
 
     def reader():
         while not stop.is_set():
             try:
-                for rec in store.find_nodes("A"):
+                for rec in store.find_nodes("Device", "d"):
                     assert "i" in rec.properties
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
@@ -361,7 +355,7 @@ def test_concurrent_readers_with_writer():
     for t in threads:
         t.start()
     for i in range(1, 50):
-        store.create_node({"A"}, {"i": i})
+        create_node(store, "Device", {"device_id": "d", "i": i})
     stop.set()
     for t in threads:
         t.join(timeout=5)
@@ -379,22 +373,23 @@ def test_element_id_parse_round_trip():
 
 def test_node_labels_with_edge_id_is_absent():
     store = GraphStore()
-    a = store.create_node({"A"}, {})
-    b = store.create_node({"B"}, {})
-    eid = store.create_edge(a, b, "REL")
-    assert store.node_labels(eid) is None
+    a = create_node(store, "A", {})
+    b = create_node(store, "B", {})
+    eid = create_edge(store, a, b, "REL")
+    assert store.node_label(eid) is None
 
 
 def test_blank_label_rejected():
     store = GraphStore()
     with pytest.raises(EmptyLabelsError):
-        store.create_node({"A", ""}, {})
+        create_node(store, "", {})
 
 
 def test_string_label_set_rejected():
+    """A node carries one label string; a set of labels is refused."""
     store = GraphStore()
     with pytest.raises(EmptyLabelsError):
-        store.create_node("Model", {})
+        create_node(store, {"Model"}, {})
     assert store.node_count() == 0
 
 
@@ -403,40 +398,34 @@ def test_string_label_set_rejected():
 KEYED_LABELS = sorted(KEY_FIELDS.items())
 
 
-def _scanned(store, label, filters):
-    """Brute-force reference: filter the label's full enumeration."""
-    return [rec for rec in store.find_nodes(label)
-            if all(rec.properties.get(k) == v for k, v in filters.items())]
+def _scanned(store, label, key, value):
+    """Brute-force reference: a scan over every node of the store."""
+    return [rec for rec in nodes_labelled(store, label) if rec.properties.get(key) == value]
 
 
 def _keyed_store():
     store = GraphStore()
     for label, key in KEYED_LABELS:
         for i in range(3):
-            store.create_node({label}, {key: f"{label}-{i}", "i": i})
+            create_node(store, label, {key: f"{label}-{i}", "i": i})
         # the store does not enforce uniqueness: a repeated value finds both
-        store.create_node({label, "Extra"}, {key: f"{label}-1", "i": 9})
-        store.create_node({label}, {key: [f"{label}-list"]})
+        create_node(store, label, {key: f"{label}-1", "i": 9})
+        create_node(store, label, {"i": 404})  # no key: found by no lookup
     return store
 
 
 def _assert_index_matches_scan(store, label, key):
-    queries = [{key: f"{label}-1"}, {key: f"{label}-404"}, {key: [f"{label}-list"]},
-               {key: f"{label}-1", "i": 9}, {key: f"{label}-1", "i": 404}]
-    for filters in queries:
-        assert store.find_nodes(label, filters) == _scanned(store, label, filters), filters
+    for value in (f"{label}-0", f"{label}-1", f"{label}-404"):
+        assert store.find_nodes(label, value) == _scanned(store, label, key, value), value
 
 
 @pytest.mark.parametrize("label,key", KEYED_LABELS)
 def test_key_index_matches_label_scan(label, key):
     store = _keyed_store()
     _assert_index_matches_scan(store, label, key)
-    hits = store.find_nodes(label, {key: f"{label}-1"})
+    hits = store.find_nodes(label, f"{label}-1")
     assert [rec.properties["i"] for rec in hits] == [1, 9]  # ascending ordinals
-    assert store.find_nodes(label, {key: f"{label}-404"}) == []
-    assert [rec.properties["i"] for rec in store.find_nodes(label, {key: f"{label}-1", "i": 9})] \
-        == [9]
-    assert len(store.find_nodes(label, {key: [f"{label}-list"]})) == 1  # unhashable: scanned
+    assert store.find_nodes(label, f"{label}-404") == []
 
 
 @pytest.mark.parametrize("label,key", KEYED_LABELS)
@@ -445,8 +434,8 @@ def test_key_index_drops_rolled_back_nodes(label, key, failure):
     store = _keyed_store()
 
     def work(tx):
-        staged = tx.create_node({label}, {key: f"{label}-1"})
-        tx.create_node({label}, {key: "staged-only"})
+        staged = tx.create_node(label, {key: f"{label}-1"})
+        tx.create_node(label, {key: "staged-only"})
         if failure == "closure raises":
             raise RuntimeError("boom")
         tx.create_edge(staged, node_id(404), "REL")
@@ -454,7 +443,7 @@ def test_key_index_drops_rolled_back_nodes(label, key, failure):
     expected = WorkFailedError if failure == "closure raises" else InvalidPropertyError
     with pytest.raises(expected):
         store.atomic_write(work)
-    assert store.find_nodes(label, {key: "staged-only"}) == []
+    assert store.find_nodes(label, "staged-only") == []
     _assert_index_matches_scan(store, label, key)
 
 
@@ -479,7 +468,7 @@ def test_registry_on_loaded_snapshot_rejects_duplicates():
     with pytest.raises(DuplicateExperimentError):
         loaded.record_experiment("exp-1")
     ingest_dict(loaded, card_dict(name="other", deployments=[deployment_dict(1, device="shared")]))
-    assert len(loaded.store.find_nodes("Device", {"device_id": "shared"})) == 1
+    assert len(loaded.store.find_nodes("Device", "shared")) == 1
 
 
 # --- snapshot line splitting and ordinal order ---
@@ -518,11 +507,15 @@ def test_snapshot_blank_line_inside_is_corrupt():
     ("e", "rel_type", 5),
     ("n", "properties", {"p": [{"a": 1}]}),  # a list may hold only scalars
     ("n", "properties", 5),
+    ("n", "labels", []),  # a node has exactly one non-empty label
+    ("n", "labels", ["A", "B"]),
+    ("n", "labels", [1]),
+    ("n", "labels", None),
 ])
 def test_snapshot_element_a_commit_would_reject_is_corrupt(kind, field, value):
     store = GraphStore()
-    a, b = store.create_node({"A"}, {}), store.create_node({"A"}, {})
-    store.create_edge(a, b, "R")
+    a, b = create_node(store, "A", {}), create_node(store, "A", {})
+    create_edge(store, a, b, "R")
     lines = store.snapshot_bytes().split(b"\n")
     at = next(i for i, line in enumerate(lines[1:-1], start=1)
               if json.loads(line)["id"].startswith(kind + ":"))
@@ -533,12 +526,50 @@ def test_snapshot_element_a_commit_would_reject_is_corrupt(kind, field, value):
         GraphStore.from_snapshot_bytes(b"\n".join(lines))
 
 
+# A snapshot as the store wrote it when a node held a set of labels: each
+# node's "labels" is the sorted list of its one label.
+LABEL_SET_SNAPSHOT = "\n".join([
+    '{"format": "mcgraph-snapshot", "next_edge_ordinal": 2, "next_node_ordinal": 4, "version": 1}',
+    '{"id": "n:1", "labels": ["ModelCard"], "properties": {"external_id": "a-b-1", '
+    '"keywords": ["edge", "wildlife"], "name": "camera trap", "score": 0.5}}',
+    '{"id": "n:2", "labels": ["Device"], "properties": {"device_id": "dev-1"}}',
+    '{"id": "n:3", "labels": ["Model"], "properties": {"name": "b"}}',
+    '{"dst": "n:3", "id": "e:1", "properties": {"weight": 1}, "rel_type": "HAS_MODEL", '
+    '"src": "n:1"}',
+]) + "\n"
+
+
+def test_label_set_snapshot_loads_and_resaves_byte_equal():
+    store = GraphStore.from_snapshot_bytes(LABEL_SET_SNAPSHOT.encode())
+    assert [(str(n.id), n.label) for n in store.iter_nodes()] == [
+        ("n:1", "ModelCard"), ("n:2", "Device"), ("n:3", "Model")]
+    assert [str(n.id) for n in store.find_nodes("Device", "dev-1")] == ["n:2"]
+    assert store.snapshot_bytes() == LABEL_SET_SNAPSHOT.encode()
+
+
+@pytest.mark.parametrize("label,key", KEYED_LABELS)
+def test_list_under_a_key_property_is_refused(label, key):
+    store = _keyed_store()
+    before = store.snapshot_bytes()
+    with pytest.raises(InvalidPropertyError):
+        create_node(store, label, {key: ["a"]})
+    assert _content_lines(store.snapshot_bytes()) == _content_lines(before)
+    lines = before.decode().split("\n")
+    at = next(i for i, line in enumerate(lines[1:-1], start=1)
+              if json.loads(line)["labels"] == [label] and key in json.loads(line)["properties"])
+    element = json.loads(lines[at])
+    element["properties"][key] = [element["properties"][key]]
+    lines[at] = json.dumps(element)
+    with pytest.raises(CorruptSnapshotError, match=f"malformed element at line {at + 1}"):
+        GraphStore.from_snapshot_bytes("\n".join(lines).encode())
+
+
 @pytest.mark.parametrize("kind", ["n", "e"])
 def test_snapshot_out_of_order_element_is_corrupt(kind):
     store = GraphStore()
-    a, b, c = (store.create_node({"A"}, {"i": i}) for i in range(3))
-    store.create_edge(a, b, "R")
-    store.create_edge(b, c, "R")
+    a, b, c = (create_node(store, "A", {"i": i}) for i in range(3))
+    create_edge(store, a, b, "R")
+    create_edge(store, b, c, "R")
     lines = store.snapshot_bytes().split(b"\n")
     first, second = [i for i, line in enumerate(lines[1:-1], start=1)
                      if json.loads(line)["id"].startswith(kind + ":")][:2]
@@ -552,7 +583,7 @@ ORDER_RELS = ("HAS_MODEL", "RUNS_ON")
 ORDER_VALUES = ("a", "b")
 
 _node_spec = st.tuples(
-    st.frozensets(st.sampled_from(ORDER_LABELS), min_size=1),
+    st.sampled_from(ORDER_LABELS),
     st.fixed_dictionaries({}, optional={
         key: st.sampled_from(ORDER_VALUES) for key in ("external_id", "device_id", "k")
     }),
@@ -565,20 +596,18 @@ _tx_spec = st.tuples(
 
 def _assert_reads_follow(store, nodes, edges):
     """Every read of ``store`` against the reference: ``nodes`` maps each
-    committed node id to (labels, properties) in creation order, ``edges``
+    committed node id to (label, properties) in creation order, ``edges``
     lists (id, src, dst, rel_type) in creation order."""
     ids = list(nodes)
-    assert [(n.id, n.labels, n.properties) for n in store.iter_nodes()] == [
+    assert [(n.id, n.label, n.properties) for n in store.iter_nodes()] == [
         (i, *nodes[i]) for i in ids
     ]
     assert [(e.id, e.src, e.dst, e.rel_type) for e in store.iter_edges()] == edges
-    for label in ORDER_LABELS:
-        labelled = [i for i in ids if label in nodes[i][0]]
-        assert [n.id for n in store.find_nodes(label)] == labelled
-        for key in ("external_id", "device_id", "k"):  # key index and label scan
-            for value in ORDER_VALUES:
-                expected = [i for i in labelled if nodes[i][1].get(key) == value]
-                assert [n.id for n in store.find_nodes(label, {key: value})] == expected
+    for label, key in KEY_FIELDS.items():  # the key index against a scan
+        for value in ORDER_VALUES:
+            expected = [n.id for n in nodes_labelled(store, label)
+                        if n.properties.get(key) == value]
+            assert [n.id for n in store.find_nodes(label, value)] == expected
     for i in ids:
         for rel in ORDER_RELS:
             out = [dst for _, src, dst, r in edges if src == i and r == rel]
@@ -589,17 +618,17 @@ def _assert_reads_follow(store, nodes, edges):
 @given(st.lists(_tx_spec, min_size=1, max_size=8), st.integers(0, 7))
 def test_reads_follow_creation_order_across_rollbacks_and_reload(steps, reload_at):
     store = GraphStore()
-    nodes: dict[ElementId, tuple[frozenset, dict]] = {}
+    nodes: dict[ElementId, tuple[str, dict]] = {}
     edges: list[tuple[ElementId, ElementId, ElementId, str]] = []
     for step, (commit, node_specs, edge_specs) in enumerate(steps):
         if step == reload_at % len(steps):
             store = GraphStore.from_snapshot_bytes(store.snapshot_bytes())
-        staged_nodes: dict[ElementId, tuple[frozenset, dict]] = {}
+        staged_nodes: dict[ElementId, tuple[str, dict]] = {}
         staged_edges: list[tuple[ElementId, ElementId, ElementId, str]] = []
 
         def work(tx):
-            for labels, props in node_specs:
-                staged_nodes[tx.create_node(labels, props)] = (labels, props)
+            for label, props in node_specs:
+                staged_nodes[tx.create_node(label, props)] = (label, props)
             ends = [*nodes, *staged_nodes]
             for src, dst, rel in edge_specs if ends else ():
                 src, dst = ends[src % len(ends)], ends[dst % len(ends)]

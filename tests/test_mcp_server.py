@@ -745,6 +745,27 @@ def test_params_must_be_an_object_when_present(twin_stack, server):
         client.close()
 
 
+@pytest.mark.parametrize("server", ["native", "layered"])
+def test_tool_arguments_must_be_an_object_when_present(twin_stack, server):
+    client = _open(twin_stack[0] if server == "native" else twin_stack[1])
+    try:
+        for msg_id, arguments in enumerate((0, False, "", [], [1], "x", 1.5)):
+            status = client.post_raw({"jsonrpc": "2.0", "id": msg_id, "method": "tools/call",
+                                      "params": {"name": "search_model_cards",
+                                                 "arguments": arguments}})
+            assert status == 202
+            assert client.wait_response(msg_id)["error"] == {
+                "code": -32602, "message": "arguments must be an object"}, arguments
+        for extra in ({"arguments": None}, {}):  # absent or null: no arguments
+            status = client.post_raw({"jsonrpc": "2.0", "id": "ok", "method": "tools/call",
+                                      "params": {"name": "search_model_cards", **extra}})
+            assert status == 202
+            assert client.wait_response("ok")["error"] == {
+                "code": -32602, "message": "query must be a string"}
+    finally:
+        client.close()
+
+
 def _layered_over(rest_base_url: str) -> McpServer:
     return McpServer(McpConfig(backend="layered", rest_base_url=rest_base_url,
                                heartbeat_seconds=0.2)).start()

@@ -18,7 +18,7 @@ from mcard_registry.graphstore import GraphStore
 from mcard_registry.registry import RETRIEVAL_QUERY_NAMES, Registry
 from mcard_registry.wire import aggregated_to_jsonable, dumps
 
-from conftest import card_dict, deployment_dict, ingest_dict, random_card_dict
+from conftest import card_dict, deployment_dict, ingest_dict, nodes_labelled, random_card_dict
 
 
 # --- whole-graph traversal oracle, independent of the five-query plan ---
@@ -37,7 +37,7 @@ def traversal_oracle(store, mc_id: str) -> dict:
     edges = list(store.iter_edges())
     card = next(
         n for n in nodes.values()
-        if "ModelCard" in n.labels and n.properties.get("external_id") == mc_id
+        if n.label == "ModelCard" and n.properties.get("external_id") == mc_id
     )
 
     def follow(src, rel):
@@ -108,7 +108,7 @@ def test_ingest_reuses_existing_device(registry):
         card_dict(name="resnet2", external_id="jdoe-resnet2-1.0",
                   deployments=[deployment_dict(1, device="shared")]),
     )
-    assert len(registry.store.find_nodes("Device")) == 1
+    assert len(nodes_labelled(registry.store, "Device")) == 1
 
 
 # --- retrieval ---
@@ -352,7 +352,7 @@ def test_edge_pipeline_randomized_property(registry):
         registry.record_experiment(f"exp-{i}")
     node_ids = [str(n.id) for n in registry.store.iter_nodes()]
     candidates = node_ids + ["n:40404", "e:1", "bogus"]
-    labels_by_id = {str(n.id): n.labels for n in registry.store.iter_nodes()}
+    label_by_id = {str(n.id): n.label for n in registry.store.iter_nodes()}
     successes = 0
     for _ in range(1000):
         src, dst = rng.choice(candidates), rng.choice(candidates)
@@ -365,15 +365,10 @@ def test_edge_pipeline_randomized_property(registry):
             continue
         successes += 1
         assert registry.store.edge_count() == edge_count + 1
-        src_label = next(iter(labels_by_id[src] & SCHEMA_ADJACENCY_LABELS))
-        dst_label = next(iter(labels_by_id[dst] & SCHEMA_ADJACENCY_LABELS))
-        assert created.rel_type == SCHEMA_ADJACENCY[(src_label, dst_label)]
+        assert created.rel_type == SCHEMA_ADJACENCY[(label_by_id[src], label_by_id[dst])]
         with pytest.raises(DuplicateEdgeError):
             registry.create_edge(src, dst)
     assert successes > 0
-
-
-SCHEMA_ADJACENCY_LABELS = {l for pair in SCHEMA_ADJACENCY for l in pair}
 
 
 def test_edge_pipeline_fault_injection(registry, monkeypatch):
@@ -382,13 +377,13 @@ def test_edge_pipeline_fault_injection(registry, monkeypatch):
     before = registry.store.snapshot_bytes()
 
     # stage 1: label fetch blows up
-    original_labels = registry.store.node_labels
+    original_label = registry.store.node_label
     monkeypatch.setattr(
-        registry.store, "node_labels", lambda _id: (_ for _ in ()).throw(RuntimeError("s1"))
+        registry.store, "node_label", lambda _id: (_ for _ in ()).throw(RuntimeError("s1"))
     )
     with pytest.raises(RuntimeError):
         registry.create_edge(exp_id, dep_id)
-    monkeypatch.setattr(registry.store, "node_labels", original_labels)
+    monkeypatch.setattr(registry.store, "node_label", original_label)
     assert registry.store.snapshot_bytes() == before
 
     # stage 2: schema inference fails (reversed pair)

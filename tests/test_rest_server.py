@@ -246,6 +246,20 @@ def test_card_with_slash_in_its_id_is_refused(server, url):
     assert requests.get(f"{url}/health").json() == before
 
 
+def test_encoded_slash_stays_inside_its_path_segment(server, url):
+    """``%2F`` is data, not a separator (RFC 3986 section 2.2): these URLs
+    name the one-segment card ids ``<id>/linkset`` and ``<id>/deployment``."""
+    mc_id = _seed_card(server)
+    before = requests.get(f"{url}/health").json()
+    assert requests.get(f"{url}/modelcard/{mc_id}%2Flinkset").status_code == 404
+    resp = requests.post(f"{url}/modelcard/{mc_id}%2Fdeployment", json=deployment_dict(3))
+    assert resp.status_code == 404
+    assert requests.get(f"{url}/health").json() == before
+    # other encoded octets decode within their segment as before
+    assert requests.get(f"{url}/modelcard/{mc_id.replace('-', '%2D')}").status_code == 200
+    assert requests.get(f"{url}/%6Dodelcard/{mc_id}/linkset").status_code == 200
+
+
 def test_post_card_duplicate(server, url):
     requests.post(f"{url}/modelcard", json=card_dict())
     resp = requests.post(f"{url}/modelcard", json=card_dict())
@@ -551,8 +565,6 @@ STATUS_BY_CODE = {
     "ID_MISMATCH": 400,
     "EMPTY_QUERY": 400,
     "EMPTY_COMPONENT": 400,
-    "NO_SCHEMA_LABEL": 400,
-    "AMBIGUOUS": 400,
     "INVALID_PROPERTY": 400,
 }
 
