@@ -13,8 +13,13 @@ nodes are reached along edges. Commits append in ordinal order and a
 snapshot load rejects an element out of it, so every map and index list is
 kept in ordinal order as it is written, and no read sorts.
 
-Records handed to callers are immutable copies: mutating them cannot affect
-the store, and they are safe to pass between threads.
+Each element is kept as one flat tuple: a node as ``(id, label, shape,
+values)``, an edge as ``(src ordinal, rel_type, dst ordinal, (names, values)
+or None)``. A shape maps property names to positions in ``values`` and is
+shared by every node with the same names; a list value is kept as a tuple.
+``NodeRecord`` and ``EdgeRecord`` are built only on the way out, each with a
+fresh dict and fresh lists, so mutating one cannot affect the store, and it is
+safe to pass between threads.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import os
 import sys
 import tempfile
 import threading
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from typing import Any
 
@@ -99,51 +104,52 @@ class EdgeRecord:
     properties: dict[str, Any]
 
 
-def _validate_properties(properties: Mapping[str, Any]) -> dict[str, Any]:
+def _validate_properties(properties: Mapping[str, Any]) -> tuple[tuple[str, ...], tuple]:
     """Check the property contract: each value is a str, an int, a finite
     float, a bool, or a list of those, so it is already JSON (a timestamp is
-    its UTC text, made by the card parser). Returns a defensive copy."""
-    out: dict[str, Any] = {}
+    its UTC text, made by the card parser). Returns the names and the values,
+    each list value as a tuple."""
+    keys, values = [], []
     for key, value in properties.items():
         if not isinstance(key, str) or not key:
             raise InvalidPropertyError(f"property key must be a non-empty string, got {key!r}")
-        if isinstance(value, bool) or isinstance(value, (str, int)):
-            out[key] = value
-        elif isinstance(value, float):
+        if isinstance(value, float):
             if not math.isfinite(value):
                 raise InvalidPropertyError(f"property {key} is a non-finite float")
-            out[key] = value
         elif isinstance(value, (list, tuple)):
-            items = list(value)
-            for item in items:
+            value = tuple(value)
+            for item in value:
                 if not isinstance(item, _SCALAR_TYPES):
                     raise InvalidPropertyError(
                         f"property {key} list may only hold scalars, got {type(item).__name__}"
                     )
                 if isinstance(item, float) and not math.isfinite(item):
                     raise InvalidPropertyError(f"property {key} list holds a non-finite float")
-            out[key] = items
-        else:
+        elif not isinstance(value, (str, int)):  # a bool is an int
             raise InvalidPropertyError(
                 f"property {key} has unsupported type {type(value).__name__}"
             )
-    return out
+        keys.append(key)
+        values.append(value)
+    return tuple(keys), tuple(values)
 
 
-def _checked_node(label: str, properties: Mapping[str, Any]) -> dict[str, Any]:
+def _checked_node(label: str, properties: Mapping[str, Any]) -> tuple[tuple[str, ...], tuple]:
     """A node's properties as a commit or a snapshot load admits them, with
     its label: one non-empty string label, valid properties, and a scalar
     under the label's key."""
     if not isinstance(label, str) or not label:
         raise EmptyLabelsError(f"a node needs one non-empty string label, got {label!r}")
-    props = _validate_properties(properties)
-    if isinstance(props.get(KEY_FIELDS.get(label)), list):
-        raise InvalidPropertyError(f"{label} key {KEY_FIELDS[label]} must be a scalar")
-    return props
+    keys, values = _validate_properties(properties)
+    key = KEY_FIELDS.get(label)
+    if key in keys and isinstance(values[keys.index(key)], tuple):
+        raise InvalidPropertyError(f"{label} key {key} must be a scalar")
+    return keys, values
 
 
-def _copy_props(props: dict[str, Any]) -> dict[str, Any]:
-    return {k: (list(v) if isinstance(v, list) else v) for k, v in props.items()}
+def _record_props(names: Iterable[str], values: tuple) -> dict[str, Any]:
+    """A stored element's properties as a fresh dict, each tuple a fresh list."""
+    return {k: (list(v) if type(v) is tuple else v) for k, v in zip(names, values)}
 
 
 class _RWLock:
@@ -230,15 +236,16 @@ class WriteTransaction:
     def __init__(self, store: "GraphStore"):
         self._store = store
         self.state = "open"
-        self.pending_nodes: list[NodeRecord] = []
-        self.pending_edges: list[tuple[EdgeRecord, bool]] = []
+        # (id, label, names, values) and (id, src, dst, rel_type, properties, ensure_unique)
+        self.pending_nodes: list[tuple] = []
+        self.pending_edges: list[tuple] = []
 
     def create_node(self, label: str, properties: Mapping[str, Any]) -> ElementId:
         self._check_open()
-        props = _checked_node(label, properties)
+        keys, values = _checked_node(label, properties)
         nid = node_id(self._store._next_node_ordinal)
         self._store._next_node_ordinal += 1
-        self.pending_nodes.append(NodeRecord(nid, label, props))
+        self.pending_nodes.append((nid, label, keys, values))
         return nid
 
     def create_edge(
@@ -250,10 +257,10 @@ class WriteTransaction:
         ensure_unique: bool = False,
     ) -> ElementId:
         self._check_open()
-        props = _validate_properties(properties or {})
+        props = _validate_properties(properties) if properties else None
         eid = edge_id(self._store._next_edge_ordinal)
         self._store._next_edge_ordinal += 1
-        self.pending_edges.append((EdgeRecord(eid, src, dst, rel_type, props), ensure_unique))
+        self.pending_edges.append((eid, src, dst, rel_type, props, ensure_unique))
         return eid
 
     def _check_open(self):
@@ -264,9 +271,11 @@ class WriteTransaction:
 class GraphStore:
     def __init__(self):
         self._lock = _RWLock()
-        self._nodes: dict[int, NodeRecord] = {}
-        self._edges: dict[int, EdgeRecord] = {}
+        self._nodes: dict[int, tuple] = {}  # ordinal -> (id, label, shape, values)
+        # ordinal -> (src, rel_type, dst, (names, values) or None)
+        self._edges: dict[int, tuple] = {}
         self._out: dict[int, list[int]] = {}
+        self._shapes: dict[tuple[str, ...], dict[str, int]] = {}  # names -> name -> position
         self._next_node_ordinal = 1
         self._next_edge_ordinal = 1
         self._index = FullTextIndex()
@@ -299,56 +308,56 @@ class GraphStore:
             self._lock.release_write()
 
     def _commit(self, tx: WriteTransaction) -> None:
-        staged = {rec.id.ordinal for rec in tx.pending_nodes}
-        for edge, ensure_unique in tx.pending_edges:
-            self._check_edge(edge, staged)
-            if ensure_unique and self._edge_exists_unlocked(edge.src, edge.dst, edge.rel_type):
-                raise DuplicateEdgeError(
-                    f"{edge.rel_type} edge {edge.src} -> {edge.dst} already exists"
-                )
-        for rec in tx.pending_nodes:
-            self._add_node(rec)
-        for edge, _ in tx.pending_edges:
-            self._add_edge(edge)
+        staged = {node[0].ordinal for node in tx.pending_nodes}
+        for eid, src, dst, rel_type, _, ensure_unique in tx.pending_edges:
+            self._check_edge(eid, src, dst, rel_type, staged)
+            if ensure_unique and self._edge_exists_unlocked(src, dst, rel_type):
+                raise DuplicateEdgeError(f"{rel_type} edge {src} -> {dst} already exists")
+        for node in tx.pending_nodes:
+            self._add_node(*node)
+        for eid, src, dst, rel_type, props, _ in tx.pending_edges:
+            self._add_edge(eid.ordinal, src.ordinal, rel_type, dst.ordinal, props)
 
-    def _check_edge(self, edge: EdgeRecord, staged: set[int]) -> None:
+    def _check_edge(self, eid: ElementId, src: ElementId, dst: ElementId, rel_type: str,
+                    staged: set[int]) -> None:
         """An edge as a commit or a snapshot load admits it: a non-empty
         string rel type, and two ends that are stored or ``staged`` nodes."""
-        if not isinstance(edge.rel_type, str) or not edge.rel_type:
-            raise InvalidPropertyError(f"edge {edge.id} rel_type must be a non-empty string")
-        for endpoint, name in ((edge.src, "src"), (edge.dst, "dst")):
+        if not isinstance(rel_type, str) or not rel_type:
+            raise InvalidPropertyError(f"edge {eid} rel_type must be a non-empty string")
+        for endpoint, name in ((src, "src"), (dst, "dst")):
             if endpoint.kind != "node" or (
                 endpoint.ordinal not in self._nodes and endpoint.ordinal not in staged
             ):
                 raise InvalidPropertyError(
-                    f"edge {edge.id} {name} {endpoint} does not reference an existing node"
+                    f"edge {eid} {name} {endpoint} does not reference an existing node"
                 )
 
-    def _add_node(self, rec: NodeRecord) -> None:
-        ordinal = rec.id.ordinal
-        self._nodes[ordinal] = rec
-        key = KEY_FIELDS.get(rec.label)
-        if key in rec.properties:
-            self._by_key[rec.label].setdefault(rec.properties[key], []).append(ordinal)
-        self._maybe_index(rec)
+    def _add_node(self, nid: ElementId, label: str, keys: tuple[str, ...],
+                  values: tuple) -> None:
+        shape = self._shapes.get(keys)
+        if shape is None:  # shared by every node with these property names
+            shape = self._shapes[keys] = {key: i for i, key in enumerate(keys)}
+        self._nodes[nid.ordinal] = (nid, label, shape, values)
+        key = KEY_FIELDS.get(label)
+        if key in shape:
+            self._by_key[label].setdefault(values[shape[key]], []).append(nid.ordinal)
+        self._maybe_index(nid.ordinal, label, shape, values)
 
-    def _add_edge(self, rec: EdgeRecord) -> None:
-        ordinal = rec.id.ordinal
-        self._edges[ordinal] = rec
-        self._out.setdefault(rec.src.ordinal, []).append(ordinal)
+    def _add_edge(self, ordinal: int, src: int, rel_type: str, dst: int,
+                  props: tuple | None) -> None:
+        self._edges[ordinal] = (src, rel_type, dst, props)
+        self._out.setdefault(src, []).append(ordinal)
 
-    def _maybe_index(self, rec: NodeRecord) -> None:
+    def _maybe_index(self, ordinal: int, label: str, shape: dict[str, int],
+                     values: tuple) -> None:
         fields: dict[str, str] = {}
-        for fname in DEFAULT_INDEXED_FIELDS.get(rec.label, ()):
-            value = rec.properties.get(fname)
-            if value is None:
+        for fname in DEFAULT_INDEXED_FIELDS.get(label, ()):
+            if fname not in shape:
                 continue
-            if isinstance(value, list):
-                fields[fname] = " ".join(str(v) for v in value)
-            else:
-                fields[fname] = str(value)
+            value = values[shape[fname]]
+            fields[fname] = " ".join(map(str, value)) if type(value) is tuple else str(value)
         if fields:
-            self._index.add_document(rec.id.ordinal, fields)
+            self._index.add_document(ordinal, fields)
 
     # --- reads ---
 
@@ -360,8 +369,8 @@ class GraphStore:
         with self.read_session():
             if element_id.kind != "node":
                 return None
-            rec = self._nodes.get(element_id.ordinal)
-            return rec.label if rec else None
+            node = self._nodes.get(element_id.ordinal)
+            return node[1] if node else None
 
     def find_nodes(self, label: str, key: Any) -> list[NodeRecord]:
         """The ``label`` nodes whose ``KEY_FIELDS[label]`` property equals
@@ -375,9 +384,10 @@ class GraphStore:
             return self._edge_exists_unlocked(src, dst, rel_type)
 
     def _edge_exists_unlocked(self, src: ElementId, dst: ElementId, rel_type: str) -> bool:
+        edges, target = self._edges, dst.ordinal
         for eord in self._out.get(src.ordinal, ()):
-            edge = self._edges[eord]
-            if edge.dst.ordinal == dst.ordinal and edge.rel_type == rel_type:
+            _, rel, end, _ = edges[eord]
+            if end == target and rel == rel_type:
                 return True
         return False
 
@@ -385,22 +395,25 @@ class GraphStore:
         """The targets of ``node``'s outgoing ``rel_type`` edges, in edge
         ordinal order."""
         with self.read_session():
-            edges = (self._edges[eord] for eord in self._out.get(node.ordinal, ()))
-            return [self._copy_node(self._nodes[edge.dst.ordinal]) for edge in edges
-                    if edge.rel_type == rel_type]
+            nodes, edges = self._nodes, self._edges
+            return [self._copy_node(nodes[edge[2]])
+                    for edge in map(edges.__getitem__, self._out.get(node.ordinal, ()))
+                    if edge[1] == rel_type]
 
     def _ranked_values(
         self, text: str, limit: int, label: str, keys: tuple[str, ...]
     ) -> list[tuple[float, tuple[Any, ...]]]:
         """Ranked search hits that carry ``label``, as (score, the values of
         ``keys``, ``""`` for a missing one), all read under one read lock.
-        No record is copied: only scalar values leave the store."""
+        No record is built: only scalar values leave the store."""
         with self.read_session():
             hits = []
             for ordinal, score in self._index.query(text, limit):
-                rec = self._nodes.get(ordinal)
-                if rec is not None and rec.label == label:
-                    hits.append((score, tuple(rec.properties.get(k, "") for k in keys)))
+                node = self._nodes.get(ordinal)
+                if node is not None and node[1] == label:
+                    _, _, shape, values = node
+                    hits.append((score, tuple([values[shape[k]] if k in shape else ""
+                                               for k in keys])))
             return hits
 
     def node_count(self) -> int:
@@ -413,36 +426,48 @@ class GraphStore:
 
     def iter_nodes(self) -> Iterator[NodeRecord]:
         with self.read_session():
-            records = [self._copy_node(rec) for rec in self._nodes.values()]
+            records = [self._copy_node(node) for node in self._nodes.values()]
         return iter(records)
 
     def iter_edges(self) -> Iterator[EdgeRecord]:
         with self.read_session():
-            records = [self._copy_edge(rec) for rec in self._edges.values()]
+            records = [self._copy_edge(ordinal, edge) for ordinal, edge in self._edges.items()]
         return iter(records)
 
-    def _copy_node(self, rec: NodeRecord) -> NodeRecord:
-        return NodeRecord(rec.id, rec.label, _copy_props(rec.properties))
+    def _copy_node(self, node: tuple) -> NodeRecord:
+        nid, label, shape, values = node
+        return NodeRecord(nid, label, _record_props(shape, values))
 
-    def _copy_edge(self, rec: EdgeRecord) -> EdgeRecord:
-        return EdgeRecord(rec.id, rec.src, rec.dst, rec.rel_type, _copy_props(rec.properties))
+    def _copy_edge(self, ordinal: int, edge: tuple) -> EdgeRecord:
+        src, rel_type, dst, props = edge
+        return EdgeRecord(ElementId("edge", ordinal), ElementId("node", src),
+                          ElementId("node", dst), rel_type,
+                          _record_props(*props) if props else {})
 
     # --- snapshots ---
 
     def snapshot_save(self, path: str) -> None:
         """Replace the file at ``path`` with a snapshot, atomically: the bytes
         go to a temporary file in the same directory, reach the disk, and only
-        then take the target's name, so a crash or a failure at any point
-        leaves either the previous file or the new one, never a torn one."""
+        then take the target's name, and the directory reaches the disk after
+        the rename, so a crash or a failure at any point leaves either the
+        previous file or the new one, never a torn one, and a save that
+        returned is not undone by a crash."""
         data = self.snapshot_bytes()
+        directory = os.path.dirname(path) or "."
         tmp = None
         try:
-            fd, tmp = tempfile.mkstemp(prefix=".snapshot-", dir=os.path.dirname(path) or ".")
+            fd, tmp = tempfile.mkstemp(prefix=".snapshot-", dir=directory)
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
+            fd = os.open(directory, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
         except OSError as exc:
             raise FileIoError(f"cannot write snapshot to {path}: {exc}") from exc
         finally:
@@ -456,12 +481,12 @@ class GraphStore:
                       "next_node_ordinal": self._next_node_ordinal,
                       "next_edge_ordinal": self._next_edge_ordinal}
             lines = [json.dumps(header, sort_keys=True)]
-            for rec in (*self._nodes.values(), *self._edges.values()):
-                obj = {"id": str(rec.id), "properties": rec.properties}
-                if isinstance(rec, NodeRecord):
-                    obj["labels"] = [rec.label]
-                else:
-                    obj.update(src=str(rec.src), dst=str(rec.dst), rel_type=rec.rel_type)
+            for nid, label, shape, values in self._nodes.values():
+                obj = {"id": str(nid), "labels": [label], "properties": dict(zip(shape, values))}
+                lines.append(json.dumps(obj, sort_keys=True, ensure_ascii=False))
+            for ordinal, (src, rel_type, dst, props) in self._edges.items():
+                obj = {"id": f"e:{ordinal}", "src": f"n:{src}", "dst": f"n:{dst}",
+                       "rel_type": rel_type, "properties": dict(zip(*props)) if props else {}}
                 lines.append(json.dumps(obj, sort_keys=True, ensure_ascii=False))
         return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -529,14 +554,15 @@ class GraphStore:
                 raise ValueError(f"labels must be a list of one label, got {labels!r}")
             # interned: every node of a label shares one string, as after ingest
             label = sys.intern(labels[0])
-            self._add_node(NodeRecord(eid, label, _checked_node(label, props)))
+            self._add_node(eid, label, *_checked_node(label, props))
         else:
             if not next(reversed(self._edges), -1) < eid.ordinal < self._next_edge_ordinal:
                 raise ValueError(f"edge ordinal {eid.ordinal} out of order or out of range")
-            rec = EdgeRecord(eid, ElementId.parse(obj["src"]), ElementId.parse(obj["dst"]),
-                             obj["rel_type"], _validate_properties(props))
-            self._check_edge(rec, set())
-            self._add_edge(rec)
+            src, dst = ElementId.parse(obj["src"]), ElementId.parse(obj["dst"])
+            rel_type = obj["rel_type"]
+            self._check_edge(eid, src, dst, rel_type, set())
+            self._add_edge(eid.ordinal, src.ordinal, rel_type, dst.ordinal,
+                           _validate_properties(props) if props else None)
 
 
 def _legacy_value(value: Any) -> Any:

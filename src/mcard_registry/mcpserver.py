@@ -26,6 +26,7 @@ say) is answered with -32603 too, so every request with an id gets a reply.
 
 from __future__ import annotations
 
+import math
 import re
 import secrets
 import socket
@@ -102,6 +103,13 @@ class McpConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.backend == "layered" and not self.rest_base_url:
             raise ValueError("layered backend needs rest_base_url")
+        # a heartbeat wait of 0 or NaN never blocks: each stream's thread would spin
+        if not 0 < self.heartbeat_seconds < math.inf:
+            raise ValueError("heartbeat_seconds must be a finite number above 0, "
+                             f"got {self.heartbeat_seconds!r}")
+        if not isinstance(self.session_cap, int) or self.session_cap < 1:
+            raise ValueError("session_cap must be an integer of at least 1, "
+                             f"got {self.session_cap!r}")
 
 
 def _answer(status: int, encode, call, *args) -> tuple[int, str]:
@@ -196,10 +204,14 @@ class LayeredBackend:
     raises or sends a malformed reply is closed, never put back."""
 
     def __init__(self, rest_base_url: str):
-        split = urlsplit(rest_base_url)
-        if split.scheme != "http" or not split.netloc:
+        try:  # urllib raises on a bad IPv6 host or a port that is not a number in 0-65535
+            split = urlsplit(rest_base_url)
+            port = split.port or 80
+        except ValueError:
+            split = port = None
+        if port is None or split.scheme != "http" or not split.hostname:
             raise ValueError(f"rest_base_url must be http://host:port, got {rest_base_url!r}")
-        self._address = (split.hostname, split.port or 80)
+        self._address = (split.hostname, port)
         self._host_line = f"Host: {split.netloc}\r\n".encode("ascii")
         self._idle: list[_RestConnection] = []
         self._lock = threading.Lock()

@@ -185,15 +185,39 @@ def _corrupt_snapshot(tmp_path):
      "must be http://host:port"),
     (["mcp", "--backend", "layered", "--rest-base", "ftp://127.0.0.1:8080"],
      "must be http://host:port"),
+    (["mcp", "--backend", "layered", "--rest-base", "http://h:xx"],
+     "must be http://host:port, got 'http://h:xx'"),
+    (["mcp", "--backend", "layered", "--rest-base", "http://h:99999"],
+     "must be http://host:port, got 'http://h:99999'"),
+    (["mcp", "--backend", "layered", "--rest-base", "http://:8080"],
+     "must be http://host:port, got 'http://:8080'"),
+    (["mcp", "--backend", "layered", "--rest-base", "http://[::1:8080"],
+     "must be http://host:port, got 'http://[::1:8080'"),
+    (["mcp", "--heartbeat-seconds", "0"], "heartbeat_seconds must be a finite number above 0"),
+    (["mcp", "--heartbeat-seconds", "-0.5"], "heartbeat_seconds must be a finite number above 0"),
+    (["mcp", "--heartbeat-seconds", "nan"], "heartbeat_seconds must be a finite number above 0"),
+    (["mcp", "--heartbeat-seconds", "inf"], "heartbeat_seconds must be a finite number above 0"),
+    (["mcp", "--session-cap", "0"], "session_cap must be an integer of at least 1"),
     (["rest", "--snapshot", _snapshot_dir], "cannot read snapshot"),
     (["mcp", "--snapshot", _corrupt_snapshot], "ordinal counters"),
     (["all", "--snapshot", _corrupt_snapshot], "ordinal counters"),
 ], ids=["layered-without-rest-base", "rest-base-without-scheme", "rest-base-not-http",
+        "rest-base-port-not-a-number", "rest-base-port-out-of-range", "rest-base-without-host",
+        "rest-base-bad-ipv6-host",
+        "heartbeat-zero", "heartbeat-negative", "heartbeat-nan", "heartbeat-infinite",
+        "session-cap-zero",
         "unreadable-snapshot", "corrupt-snapshot-mcp", "corrupt-snapshot-all"])
-def test_server_cli_bad_setting_is_one_line_and_exit_2(tmp_path, capsys, argv, message):
-    from mcard_registry.server_cli import main as server_main
+def test_server_cli_bad_setting_is_one_line_and_exit_2(tmp_path, capsys, monkeypatch,
+                                                        argv, message):
+    from mcard_registry import server_cli
+
+    def serve(stop, *_):  # a setting let through: stop at once instead of serving
+        stop()
+        pytest.fail("the setting was accepted and the server started")
+
+    monkeypatch.setattr(server_cli, "_wait", serve)
     # each setting fails before a port is bound
-    assert server_main([arg(tmp_path) if callable(arg) else arg for arg in argv]) == 2
+    assert server_cli.main([arg(tmp_path) if callable(arg) else arg for arg in argv]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("mcard-server: error: "), err

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import threading
 
 import pytest
@@ -213,6 +215,23 @@ def test_failed_snapshot_save_keeps_previous_file(tmp_path, monkeypatch, inject)
         store.snapshot_save(str(path))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["snap.jsonl"]
+
+
+def test_snapshot_save_syncs_the_directory_after_the_file(tmp_path, monkeypatch):
+    # the rename that puts the new snapshot in place is durable only once
+    # the directory holding it reaches the disk
+    synced = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        info = os.fstat(fd)
+        synced.append((stat.S_ISDIR(info.st_mode), info.st_ino))
+        real_fsync(fd)
+
+    monkeypatch.setattr("os.fsync", fsync)
+    _populated_store().snapshot_save(str(tmp_path / "snap.jsonl"))
+    assert synced[0][0] is False
+    assert synced[1:] == [(True, os.stat(tmp_path).st_ino)]
 
 
 def test_snapshot_load_missing_file_is_io_error(tmp_path):

@@ -93,6 +93,12 @@ def test_session_cap_returns_503():
         server.stop()
 
 
+def test_config_refuses_a_session_cap_that_is_not_an_integer():
+    # the CLI's bad values are in test_cli.py; its --session-cap parses ints only
+    with pytest.raises(ValueError, match="session_cap must be an integer"):
+        McpConfig(session_cap=2.5)
+
+
 def test_post_to_unknown_session_is_404(native):
     server, _ = native
     client = _open(server)
